@@ -26,7 +26,14 @@ from .observables import (
     discrete_metric,
     cyclic_metric,
 )
-from .numerics import LinearProgram, LpResult, solve_lp, bisect, shannon_entropy
+from .numerics import (
+    LinearProgram,
+    LpNumericalError,
+    LpResult,
+    solve_lp,
+    bisect,
+    shannon_entropy,
+)
 
 __all__ = [
     "__version__",
@@ -50,6 +57,7 @@ __all__ = [
     "cyclic_metric",
     "LinearProgram",
     "LpResult",
+    "LpNumericalError",
     "solve_lp",
     "bisect",
     "shannon_entropy",

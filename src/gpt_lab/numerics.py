@@ -1,18 +1,40 @@
 """Small self-contained numerical kernel: dense LP solver, bisection, entropy.
 
-The LP solver is a dense two-phase simplex with Bland's rule.  Every problem
-in this package is tiny (at most a few hundred rows), so determinism and
-simplicity win over sparse machinery.
+The LP solver is a dense two-phase simplex.  Every problem in this package
+is tiny (at most a few hundred rows), so determinism and simplicity win over
+sparse machinery.  The pivot rules:
+
+- entering: Bland's rule, the first column with reduced cost below -tol_lp;
+- ratio test: only rows whose column entry exceeds ``PIVOT_TOL`` (1e-7) can
+  leave, so no pivot ever lands on a round-off-sized entry;
+- leaving: among the rows tied at the minimum ratio (within a 1e-12 relative
+  window), those whose pivot is below ``TIE_PIVOT_FRAC`` (1e-3) times the
+  largest tied pivot are dropped, and the smallest basis index wins among
+  the rest.
+
+Every verdict is checked against the original data before it is returned.
+"infeasible" needs the phase-1 dual y (a Farkas certificate) to satisfy
+max(y.A) <= 1e-9 and y.b > tol_lp on the sign-normalized constraint rows;
+"feasible" and "optimal" need x to meet every original equality, inequality
+and lower bound within max(1e-9, tol_lp) (1 + |rhs|).  A verdict that fails its check
+raises ``LpNumericalError`` instead of being returned.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+PIVOT_TOL = 1e-7
+TIE_PIVOT_FRAC = 1e-3
+CERT_TOL = 1e-9
+
+
+class LpNumericalError(RuntimeError):
+    """The simplex reached a verdict that its certificate check rejects."""
 
 
 @dataclass
@@ -61,52 +83,47 @@ class LpResult:
     value: float | None = None
 
 
-def _bland_simplex(tab: np.ndarray, basis: list[int], ncols: int, tol: float) -> str:
+def _pivot(tab: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    """Pivot on entry (r, j): a rank-1 update restricted to the nonzero
+    columns of the pivot row."""
+    prow = tab[r] / tab[r, j]
+    nz = prow.nonzero()[0]
+    colvals = tab[:, j].copy()
+    colvals[r] = 0.0
+    tab[:, nz] -= colvals[:, None] * prow[nz]
+    tab[r] = prow
+    tab[:, j] = 0.0
+    tab[r, j] = 1.0
+    basis[r] = j
+
+
+def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int, tol: float) -> str:
     """Run simplex pivots on tableau ``tab`` (objective in the last row,
-    rhs in the last column).  Bland's smallest-index rule on entering and
-    leaving variables, so no cycling."""
+    rhs in the last column) with the pivot rules of the module docstring."""
     m = tab.shape[0] - 1
-    max_iter = 50 * (m + ncols) + 1000
-    for _ in range(max_iter):
-        red = tab[-1, :ncols]
-        enter = -1
-        for j in range(ncols):
-            if red[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+    red = tab[-1, :ncols]
+    for _ in range(50 * (m + ncols) + 1000):
+        below = red < -tol
+        if not below.any():
             return "optimal"
+        enter = int(below.argmax())
         col = tab[:m, enter]
-        rhs = tab[:m, -1]
-        best_ratio = math.inf
-        for i in range(m):
-            if col[i] > tol:
-                r = rhs[i] / col[i]
-                if r < best_ratio:
-                    best_ratio = r
-        if not math.isfinite(best_ratio):
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
             return "unbounded"
-        # among exact ratio ties, leave by smallest basis index (Bland)
-        eps = 1e-12 * (1.0 + abs(best_ratio))
-        best = None
-        for i in range(m):
-            if col[i] > tol and rhs[i] / col[i] <= best_ratio + eps:
-                if best is None or basis[i] < basis[best]:
-                    best = i
-        piv = tab[best, enter]
-        tab[best, :] /= piv
-        colvals = tab[:, enter].copy()
-        colvals[best] = 0.0
-        tab -= np.outer(colvals, tab[best, :])
-        tab[:, enter] = 0.0
-        tab[best, enter] = 1.0
-        basis[best] = enter
+        ratios = tab[rows, -1] / col[rows]
+        best = ratios.min()
+        tied = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        piv = col[tied]
+        tied = tied[piv >= TIE_PIVOT_FRAC * piv.max()]
+        _pivot(tab, basis, int(tied[basis[tied].argmin()]), enter)
     raise RuntimeError("simplex iteration limit exceeded")
 
 
 def solve_lp(p: LinearProgram, tol_lp: float = DEFAULT_TOL) -> LpResult:
     """Two-phase dense simplex.  Free variables are split into differences
-    of nonnegatives; finite lower bounds are shifted to zero."""
+    of nonnegatives; finite lower bounds are shifted to zero.  Raises
+    LpNumericalError when a verdict fails its certificate check."""
     if tol_lp <= 0:
         raise ValueError("tol_lp must be positive")
     p.validate()
@@ -119,132 +136,93 @@ def solve_lp(p: LinearProgram, tol_lp: float = DEFAULT_TOL) -> LpResult:
     shift = np.where(free, 0.0, lb)
 
     # columns: one per bounded var, two (plus/minus) per free var
-    col_of = np.zeros(n, dtype=int)
-    ncols = 0
-    for j in range(n):
-        col_of[j] = ncols
-        ncols += 2 if free[j] else 1
+    width = np.where(free, 2, 1)
+    col_of = np.cumsum(width) - width
+    minus = col_of[free] + 1
+    ncols = int(width.sum())
 
-    def expand(amat: np.ndarray) -> np.ndarray:
-        out = np.zeros((amat.shape[0], ncols))
-        for j in range(n):
-            out[:, col_of[j]] = amat[:, j]
-            if free[j]:
-                out[:, col_of[j] + 1] = -amat[:, j]
-        return out
+    def block(a, b):
+        if a is None:
+            return np.zeros((0, n)), np.zeros(0)
+        return np.asarray(a, dtype=float), np.asarray(b, dtype=float).reshape(-1)
 
-    rows = []
-    rhs = []
-    n_slack = 0
-    if p.a_eq is not None:
-        a = np.asarray(p.a_eq, dtype=float)
-        b = np.asarray(p.b_eq, dtype=float) - a @ shift
-        rows.append((expand(a), b, None))
-    if p.a_ub is not None:
-        a = np.asarray(p.a_ub, dtype=float)
-        b = np.asarray(p.b_ub, dtype=float) - a @ shift
-        rows.append((expand(a), b, "slack"))
-        n_slack = a.shape[0]
-
-    m = sum(r[0].shape[0] for r in rows)
+    (a_eq, b_eq), (a_ub, b_ub) = block(p.a_eq, p.b_eq), block(p.a_ub, p.b_ub)
+    a, b = np.vstack([a_eq, a_ub]), np.concatenate([b_eq, b_ub])
+    m_eq, m = len(a_eq), len(a)
+    n_slack = m - m_eq
     total = ncols + n_slack
-    amat = np.zeros((m, total))
-    bvec = np.zeros(m)
-    at = 0
-    s_at = ncols
-    for a, b, kind in rows:
-        k = a.shape[0]
-        amat[at : at + k, :ncols] = a
-        bvec[at : at + k] = b
-        if kind == "slack":
-            for i in range(k):
-                amat[at + i, s_at + i] = 1.0
-        at += k
 
+    # sign-normalized rows [A+ | A- | slack identity] x' = b' >= 0
+    amat = np.zeros((m, total))
+    amat[:, col_of] = a
+    amat[:, minus] = -a[:, free]
+    amat[np.arange(m_eq, m), np.arange(ncols, total)] = 1.0
+    bvec = b - a @ shift
     neg = bvec < 0
     amat[neg] *= -1.0
     bvec[neg] *= -1.0
 
     # phase 1: slack columns with +1 sign and nonnegative rhs can start in
     # the basis; only the remaining rows get artificial variables
-    slack_col = np.full(m, -1, dtype=int)
-    at = 0
-    for a, b, kind in rows:
-        k = a.shape[0]
-        if kind == "slack":
-            for i in range(k):
-                if not neg[at + i]:
-                    slack_col[at + i] = s_at + i
-        at += k
-    need_art = [i for i in range(m) if slack_col[i] < 0]
-    n_art = len(need_art)
+    basis0 = np.arange(m) - m_eq + ncols
+    need_art = (basis0 < ncols) | neg
+    art_rows = need_art.nonzero()[0]
+    n_art = art_rows.size
+    basis0[art_rows] = total + np.arange(n_art)
 
     tab = np.zeros((m + 1, total + n_art + 1))
     tab[:m, :total] = amat
     tab[:m, -1] = bvec
-    basis = [0] * m
-    for i in range(m):
-        if slack_col[i] >= 0:
-            basis[i] = int(slack_col[i])
-    for idx, i in enumerate(need_art):
-        tab[i, total + idx] = 1.0
-        basis[i] = total + idx
-    tab[-1, total : total + n_art] = 1.0
-    for i in need_art:
-        tab[-1, :] -= tab[i, :]
-    st = _bland_simplex(tab, basis, total + n_art, tol_lp)
-    if st != "optimal" or -tab[-1, -1] > tol_lp:
+    tab[art_rows, basis0[art_rows]] = 1.0
+    tab[-1, total:-1] = 1.0
+    tab[-1] -= tab[art_rows].sum(axis=0)
+    basis = basis0.copy()
+    if _simplex(tab, basis, total + n_art, tol_lp) != "optimal":
+        raise LpNumericalError("phase 1 reported an unbounded sum of artificials")
+    if -tab[-1, -1] > tol_lp:
+        # Farkas certificate: y.A' <= 0 on every column while y.b' > 0
+        y = need_art - tab[-1, basis0]
+        if (y @ amat).max(initial=0.0) > CERT_TOL or y @ bvec <= tol_lp:
+            raise LpNumericalError("phase-1 infeasibility certificate fails")
         return LpResult("infeasible")
 
-    # drive remaining artificials out of the basis, then drop their columns
-    for i in range(m):
-        if basis[i] >= total:
-            row = tab[i, :total]
-            j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > tol_lp:
-                piv = tab[i, j]
-                tab[i, :] /= piv
-                colvals = tab[:, j].copy()
-                colvals[i] = 0.0
-                tab -= np.outer(colvals, tab[i, :])
-                tab[:, j] = 0.0
-                tab[i, j] = 1.0
-                basis[i] = j
-    keep = [i for i in range(m) if basis[i] < total]
-    tab2 = np.zeros((len(keep) + 1, total + 1))
-    tab2[: len(keep), :total] = tab[keep, :total]
-    tab2[: len(keep), -1] = tab[keep, -1]
-    basis2 = [basis[i] for i in keep]
+    # drive remaining artificials out of the basis, then drop their rows
+    for i in (basis >= total).nonzero()[0]:
+        j = int(np.argmax(np.abs(tab[i, :total])))
+        if abs(tab[i, j]) > PIVOT_TOL:
+            _pivot(tab, basis, i, j)
+    keep = (basis < total).nonzero()[0]
+    tab2 = np.zeros((keep.size + 1, total + 1))
+    tab2[:-1, :total] = tab[keep, :total]
+    tab2[:-1, -1] = tab[keep, -1]
+    basis2 = basis[keep]
 
     if p.objective is not None:
-        cfull = np.zeros(total)
-        cexp = np.zeros(ncols)
         c = np.asarray(p.objective, dtype=float)
-        for j in range(n):
-            cexp[col_of[j]] = c[j]
-            if free[j]:
-                cexp[col_of[j] + 1] = -c[j]
-        cfull[:ncols] = cexp
+        cfull = np.zeros(total)
+        cfull[col_of] = c
+        cfull[minus] = -c[free]
         tab2[-1, :total] = cfull
-        for i, bj in enumerate(basis2):
-            if abs(cfull[bj]) > 0:
-                tab2[-1, :] -= cfull[bj] * tab2[i, :]
-        st = _bland_simplex(tab2, basis2, total, tol_lp)
-        if st == "unbounded":
+        tab2[-1] -= cfull[basis2] @ tab2[:-1]
+        if _simplex(tab2, basis2, total, tol_lp) == "unbounded":
             return LpResult("unbounded")
 
     xfull = np.zeros(total)
-    for i, bj in enumerate(basis2):
-        xfull[bj] = tab2[i, -1]
-    x = np.empty(n)
-    for j in range(n):
-        if free[j]:
-            x[j] = xfull[col_of[j]] - xfull[col_of[j] + 1]
-        else:
-            x[j] = xfull[col_of[j]] + shift[j]
+    xfull[basis2] = tab2[:-1, -1]
+    x = xfull[col_of] + shift
+    x[free] -= xfull[minus]
+    # primal check against the original rows and lower bounds
+    resid = a @ x - b
+    resid[:m_eq] = np.abs(resid[:m_eq])
+    bounded = ~free
+    worst = max(
+        np.max(resid / (1.0 + np.abs(b)), initial=0.0),
+        np.max((lb[bounded] - x[bounded]) / (1.0 + np.abs(lb[bounded])), initial=0.0),
+    )
+    if worst > max(CERT_TOL, tol_lp):
+        raise LpNumericalError(f"LP point misses its constraints by {worst:.2e}")
     if p.objective is not None:
-        val = float(np.asarray(p.objective, dtype=float) @ x)
-        return LpResult("optimal", x=x, value=val)
+        return LpResult("optimal", x=x, value=float(c @ x))
     return LpResult("feasible", x=x)
 
 

@@ -172,3 +172,108 @@ def test_witness_bound():
     assert rep["bound"] == 3  # 2 + 2 - 2 + 1
     assert rep["dim_aff_plus_1"] == 2
     assert rep["holds"]
+
+
+# Disc pairs (t_a, angle_a, t_b, angle_b) on which an earlier simplex pivoted
+# on ~1e-9 entries and answered wrongly: three false "infeasible" verdicts,
+# a point drifted 1.5e-5 off its equalities, and one compatibility and two
+# degree queries from longer benchmark streams.
+DISC_COMPAT_REGRESSIONS = [
+    (0.3090585008333745, 1.2397312711058395, 0.6308252870668838, 1.7772698645076188),
+    (0.8405124136665267, 1.808800876832255, 0.6175335669216903, 1.3296653935803973),
+    (0.31289146162366976, 0.3744259843227811, 0.45984729843324074, 2.5258788896614184),
+    (0.34298021425036895, 5.888572368903818, 0.6687160966610425, 2.708176626603192),
+    (0.9203217135640573, 1.81527612521618, 0.30139708735007736, 0.8651059100470843),
+]
+DISC_DEGREE_REGRESSIONS = [
+    (0.7586777674991523, 2.7343602067726422, 0.9881731975365304, 0.7969128022056061),
+    (0.5432848272417647, 2.1654011988438673, 0.9516469016904454, 1.5175849409929392),
+]
+
+
+def _disc_pair(ta, pa, tb, pb):
+    t = make_disc()
+    a = ta * np.array([math.cos(pa), math.sin(pa), 0.0])
+    b = tb * np.array([math.cos(pb), math.sin(pb), 0.0])
+    s = np.linalg.norm(a + b) + np.linalg.norm(a - b)
+    return disc_axis_observable(t, ta, pa), disc_axis_observable(t, tb, pb), s
+
+
+@pytest.mark.parametrize("pair", DISC_COMPAT_REGRESSIONS)
+def test_disc_regression_compatibility(pair):
+    f, g, s = _disc_pair(*pair)
+    ok, joint = are_compatible(f, g)
+    assert ok == (s <= 2.0)
+    if ok:
+        assert joint is not None  # decided by the LP, not the exact fallback
+        mf, mg = marginals(joint, atol=1e-6)
+        for a, b in zip(mf.effects + mg.effects, f.effects + g.effects):
+            assert a == pytest.approx(b, abs=1e-6)
+
+
+@pytest.mark.parametrize("pair", DISC_DEGREE_REGRESSIONS)
+def test_disc_regression_degree(pair):
+    f, g, s = _disc_pair(*pair)
+    lam, _ = degree_of_incompatibility(f, g)
+    assert lam == pytest.approx(min(1.0, 2.0 / s), abs=1e-4)
+
+
+def test_vectorized_row_builders_match_loops():
+    from gpt_lab.compatibility import (
+        _disc_cut_rows,
+        _finite_nonneg_rows,
+        _joint_equalities,
+    )
+
+    def cell(c, dim, nvars, vec):
+        row = np.zeros(nvars)
+        row[c * dim : (c + 1) * dim] = vec
+        return row
+
+    for t in (make_polygon(5), make_simplex(3)):
+        pts = t.pure_states @ t.g_matrix
+        want = [cell(c, t.dim, 4 * t.dim, -p) for c in range(4) for p in pts]
+        assert np.array_equal(_finite_nonneg_rows(t, 4, t.dim)[0], np.array(want))
+
+    for shrink in (False, True):
+        s = math.cos(math.pi / 8) if shrink else 1.0
+        want = [
+            cell(c, 3, 12, [-math.cos(th), -math.sin(th), -s])
+            for c in range(4)
+            for th in (2 * math.pi * j / 8 for j in range(8))
+        ]
+        assert np.array_equal(_disc_cut_rows(4, 8, shrink)[0], np.array(want))
+
+    t = make_polygon(5)
+    g = [o for o in ideal_observables(t) if len(o) == 2][0]
+    e = g.effects[0]
+    f = Observable(t, [0.25 * e, 0.75 * e, t.unit_effect - e])  # 3 outcomes
+    na, nb, dim = 3, 2, t.dim
+    nvars = na * nb * dim
+    rows, rhs = [], []
+    for a in range(na):
+        for d in range(dim):
+            unit = np.eye(dim)[d]
+            rows.append(sum(cell(a * nb + b, dim, nvars, unit) for b in range(nb)))
+            rhs.append(f.effects[a][d])
+    for b in range(nb):
+        for d in range(dim):
+            unit = np.eye(dim)[d]
+            rows.append(sum(cell(a * nb + b, dim, nvars, unit) for a in range(na)))
+            rhs.append(g.effects[b][d])
+    got_rows, got_rhs = _joint_equalities(t, f, g)
+    assert np.array_equal(got_rows, np.array(rows))
+    assert np.array_equal(got_rhs, np.array(rhs))
+
+    w = t.pure_states[1]
+    wv = t.g_matrix @ w
+    rows = [sum(cell(c, dim, nvars, np.eye(dim)[d]) for c in range(na * nb))
+            for d in range(dim)]
+    rhs = list(t.unit_effect)
+    rows += [sum(cell(a * nb + b, dim, nvars, wv) for b in range(nb)) for a in range(na)]
+    rhs += [t.pair(e, w) for e in f.effects]
+    rows += [sum(cell(a * nb + b, dim, nvars, wv) for a in range(na)) for b in range(nb)]
+    rhs += [t.pair(e, w) for e in g.effects]
+    got_rows, got_rhs = _joint_equalities(t, f, g, states=[w])
+    assert np.array_equal(got_rows, np.array(rows))
+    assert np.array_equal(got_rhs, np.array(rhs))

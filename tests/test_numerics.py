@@ -152,3 +152,87 @@ def test_entropy_permutation_invariant(weights, rnd):
     q = list(p)
     rnd.shuffle(q)
     assert shannon_entropy(p) == pytest.approx(shannon_entropy(q), abs=1e-12)
+
+
+# -- differential tests against scipy's HiGHS (test-only dependency) ---------
+
+_STATUSES = ("optimal", "feasible", "infeasible", "unbounded")
+
+
+def _highs_status(p):
+    """(status, value) of ``p`` solved by scipy's HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    lb = np.full(p.n_vars, -np.inf) if p.lower_bounds is None else p.lower_bounds
+    res = linprog(
+        np.zeros(p.n_vars) if p.objective is None else p.objective,
+        A_ub=p.a_ub, b_ub=p.b_ub, A_eq=p.a_eq, b_eq=p.b_eq,
+        bounds=[(lo if np.isfinite(lo) else None, None) for lo in lb],
+        method="highs",
+        options={"presolve": False},  # presolve misreports some unbounded LPs
+    )
+    status = {0: "optimal" if p.objective is not None else "feasible",
+              2: "infeasible", 3: "unbounded"}[res.status]
+    return status, res.fun
+
+
+@st.composite
+def _small_lps(draw):
+    """A random LP with 2-5 variables (some free, some shifted lower bounds),
+    0-2 equalities and 1-5 inequalities, built to have status ``kind``."""
+    kind = draw(st.sampled_from(_STATUSES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m_eq, m_ub = int(rng.integers(2, 6)), int(rng.integers(0, 3)), int(rng.integers(1, 6))
+    free = rng.random(n) < 0.3
+    lb = np.where(free, -np.inf, rng.uniform(-1.0, 1.0, n))
+    x0 = np.where(free, rng.normal(size=n), lb + rng.uniform(0.0, 1.0, n))
+    a_eq = rng.normal(size=(m_eq, n))
+    a_ub = rng.normal(size=(m_ub, n))
+    c = rng.normal(size=n)
+    if kind == "optimal":  # a box around x0 keeps the optimum finite
+        a_ub = np.vstack([a_ub, np.eye(n), -np.eye(n)])
+    elif kind == "unbounded":  # a recession direction d with c.d < 0
+        d = np.where(free, rng.normal(size=n), rng.uniform(0.1, 1.0, n))
+        a_eq -= np.outer(a_eq @ d, d) / (d @ d)
+        a_ub *= np.where(a_ub @ d > 0, -1.0, 1.0)[:, None]
+        c -= (c @ d + 1.0) * d / (d @ d)
+    b_ub = a_ub @ x0 + rng.uniform(0.0, 1.0, len(a_ub))
+    if kind == "infeasible":  # r.x <= beta and r.x >= beta + 1
+        r = rng.normal(size=n)
+        a_ub = np.vstack([a_ub, r, -r])
+        b_ub = np.concatenate([b_ub, [r @ x0, -(r @ x0) - 1.0]])
+    return kind, LinearProgram(
+        n,
+        objective=None if kind == "feasible" else c,
+        a_eq=a_eq if m_eq else None,
+        b_eq=a_eq @ x0 if m_eq else None,
+        a_ub=a_ub,
+        b_ub=b_ub,
+        lower_bounds=lb,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_lps())
+def test_lp_matches_highs_on_small_lps(case):
+    kind, p = case
+    want, value = _highs_status(p)
+    assert want == kind  # the generator covers every status
+    r = solve_lp(p)
+    assert r.status == want
+    if want == "optimal":
+        assert r.value == pytest.approx(value, abs=1e-7 * (1.0 + abs(value)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.3, 1.0), st.floats(0.0, 2 * math.pi),
+       st.floats(0.3, 1.0), st.floats(0.0, 2 * math.pi))
+def test_lp_matches_highs_on_disc_cut_lps(ta, pa, tb, pb):
+    from gpt_lab.compatibility import _disc_cut_rows, _joint_equalities, disc_axis_observable
+    from gpt_lab.gpt_core import make_disc
+
+    t = make_disc()
+    f, g = disc_axis_observable(t, ta, pa), disc_axis_observable(t, tb, pb)
+    a_eq, b_eq = _joint_equalities(t, f, g)
+    a_ub, b_ub = _disc_cut_rows(4, 64, shrink=False)
+    p = LinearProgram(12, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+    assert solve_lp(p).status == _highs_status(p)[0]

@@ -49,24 +49,6 @@ class StateSubset:
 
 
 @dataclass
-class QubitPairParams:
-    t: float
-    phi0: float
-    psi0: float
-    xi1_min: float = field(init=False)
-    xi1_max: float = field(init=False)
-    xi2_min: float = field(init=False)
-    xi2_max: float = field(init=False)
-
-    def __post_init__(self):
-        if not (0.0 < self.phi0 < math.pi / 2 and 0.0 < self.psi0 < math.pi / 2):
-            raise ValueError("angles must lie strictly inside (0, pi/2)")
-        (self.xi1_min, self.xi1_max, self.xi2_min, self.xi2_max) = xi_bounds(
-            self.t, self.phi0, self.psi0
-        )
-
-
-@dataclass
 class DimensionReport:
     t: float
     chi_incomp: int | str
@@ -159,14 +141,6 @@ def _grid_from_solution(theory, x, na, nb) -> JointObservable:
     return JointObservable(theory, grid, atol=1e-5)
 
 
-def _disc_cells_exactly_valid(x, ncells, tol=1e-8) -> bool:
-    for c in range(ncells):
-        mx, my, mz = x[c * 3 : (c + 1) * 3]
-        if mz - math.hypot(mx, my) < -tol:
-            return False
-    return True
-
-
 def _joint_feasible(theory, f, g, states=None, tol=1e-9, objective=None):
     """Solve the joint-observable (possibly S0-restricted) feasibility
     problem.  Returns (verdict, x) with verdict True, False, or None when
@@ -236,7 +210,7 @@ def are_compatible(f: Observable, g: Observable, tol: float = 1e-9):
     instances the cut generation cannot settle fall back to the exact
     algebraic criterion when both observables are binary.
     """
-    if f.theory is not g.theory and f.theory.to_json() != g.theory.to_json():
+    if f.theory != g.theory:
         raise ValueError("observables live on different theories")
     ok, x = _joint_feasible(f.theory, f, g, tol=tol)
     if ok is None:
@@ -263,7 +237,7 @@ def s0_compatible(f: Observable, g: Observable, s0: StateSubset, tol: float = 1e
     Returns (bool, (Observable, Observable) or None): the surrogate pair is
     read off the feasible joint's marginals.
     """
-    if f.theory is not g.theory and f.theory.to_json() != g.theory.to_json():
+    if f.theory != g.theory:
         raise ValueError("observables live on different theories")
     ok, x = _joint_feasible(f.theory, f, g, states=s0.generators, tol=tol)
     if ok and x is not None:
@@ -510,19 +484,7 @@ def _incompatible_segments(t: float, grid: int):
     pp, ss = np.meshgrid(phis, psis, indexing="ij")
     mask = _vectorized_proxy(t, pp, ss)
     hits = np.argwhere(mask)
-    out = [(float(phis[i]), float(psis[j])) for i, j in hits[:64]]
-    # refine near any sign change even if the coarse scan found nothing
-    if not out:
-        edge = np.argwhere(mask[:-1, :] != mask[1:, :])
-        for i, j in edge[:16]:
-            for dphi in np.linspace(-0.5, 0.5, 5):
-                for dpsi in np.linspace(-0.5, 0.5, 5):
-                    p0 = phis[i] + dphi * half / grid
-                    q0 = psis[j] + dpsi * half / grid
-                    if 0 < p0 < half and 0 < q0 < half:
-                        if _segment_surrogates_all_incompatible(t, p0, q0):
-                            out.append((p0, q0))
-    return out
+    return [(float(phis[i]), float(psis[j])) for i, j in hits[:64]]
 
 
 def _vectorized_proxy(t, phi0, psi0):
@@ -604,12 +566,31 @@ def chi_comp_plane_verified(theory: Theory, t: float) -> bool:
 
 
 def exists_incompatible_segment(t: float, grid: int = 128) -> bool:
-    return bool(len(_incompatible_segments(t, grid)) > 0)
+    """Whether ``_incompatible_segments(t, grid)`` finds any cell, in O(1).
+
+    The segment margin (1+s)(1-w1-w2) - (1-s)w1w2 peaks at the cells nearest
+    phi0 = pi/4 on the smallest psi0, and there it turns positive at the
+    lowest t of any cell.  So the scan has a hit iff one of the mirror cells
+    (i, 0) and (grid-1-i, 0), i = (grid-1)//2, has one.  The cell centres use
+    the scan's own expression, so both agree bit for bit; the guard test
+    ``test_two_cell_predicate_matches_full_scan`` checks this against the
+    full scan.
+    """
+    half = math.pi / 2
+    i = (grid - 1) // 2
+    phis = (np.array([i, grid - 1 - i]) + 0.5) * half / grid
+    psis = (np.zeros(2) + 0.5) * half / grid
+    return bool(np.any(_vectorized_proxy(t, phis, psis)))
 
 
 def estimate_t0(grid: int = 128, tol: float = 1e-3) -> float:
-    """Bisection for the threshold above which some segment certifies
-    chi_incomp = 2."""
+    """Bisection for the threshold above which some cell of the grid scan
+    certifies chi_incomp = 2.
+
+    Each step decides from the scan's two deciding cells (see
+    ``exists_incompatible_segment``), so a call costs O(log(1/tol)) and
+    returns the same float as bisecting the full grid scan.
+    """
     lo, hi = SQ2INV + 1e-6, 1.0
     if not exists_incompatible_segment(hi, grid):
         return hi

@@ -24,7 +24,7 @@ def polygon_radius(n: int) -> float:
     return math.sqrt(1.0 / math.cos(math.pi / n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Theory:
     kind: str  # "Simplex" | "Polygon" | "Disc" | "Custom"
     dim: int
@@ -43,6 +43,18 @@ class Theory:
             vals = self.pure_states @ self.g_matrix @ self.unit_effect
             if np.max(np.abs(vals - 1.0)) > 1e-12:
                 raise ValueError("unit effect is not 1 on every pure state")
+
+    # value semantics keyed on to_json(); the identity check keeps the
+    # common same-object comparison free of serialization
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Theory):
+            return NotImplemented
+        return self.to_json() == other.to_json()
+
+    def __hash__(self):
+        return hash(self.to_json())
 
     # -- basic geometry -------------------------------------------------
 
@@ -100,6 +112,7 @@ class Theory:
         if self.kind == "Custom":
             payload["pure_states"] = self.pure_states.tolist()
             payload["unit_effect"] = self.unit_effect.tolist()
+            payload["g_matrix"] = self.g_matrix.tolist()
         if self.kind == "Disc":
             payload["resolution"] = self.resolution
         return json.dumps(payload, sort_keys=True)
@@ -121,7 +134,7 @@ class Theory:
                 kind="Custom",
                 dim=states.shape[1],
                 unit_effect=u,
-                g_matrix=np.eye(states.shape[1]),
+                g_matrix=np.asarray(d["g_matrix"], float),
                 pure_states=states,
             )
         raise ValueError(f"unknown theory kind {kind!r}")

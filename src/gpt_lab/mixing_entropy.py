@@ -46,7 +46,7 @@ class DistinguishableFamily:
         if len(self.states) != len(self.observable.effects):
             raise ValueError("family size does not match outcome count")
         for s in self.states:
-            if s.theory is not t and s.theory != t:
+            if s.theory != t:
                 raise ValueError("family states live in different theories")
         for i, e in enumerate(self.observable.effects):
             for j, s in enumerate(self.states):

@@ -11,6 +11,8 @@ from gpt_lab.compatibility import (
     busch_unbiased_compatible,
     degree_of_incompatibility,
     disc_axis_observable,
+    estimate_t0,
+    exists_incompatible_segment,
     mutually_unbiased_pair,
     qubit_pair_compatible_closed_form,
     s0_compatible,
@@ -277,3 +279,49 @@ def test_vectorized_row_builders_match_loops():
     got_rows, got_rhs = _joint_equalities(t, f, g, states=[w])
     assert np.array_equal(got_rows, np.array(rows))
     assert np.array_equal(got_rhs, np.array(rhs))
+
+
+def test_pair_on_equal_theories_accepted_and_on_different_rejected():
+    f = ideal_observables(make_polygon(6))[0]
+    g = ideal_observables(make_polygon(6))[1]
+    assert f.theory is not g.theory
+    assert are_compatible(f, g)[0] is not None
+    with pytest.raises(ValueError, match="different theories"):
+        are_compatible(f, ideal_observables(make_polygon(7))[0])
+
+
+def _bisect_steps(pred, steps=50):
+    lo, hi = SQ2INV + 1e-6, 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("grid", [7, 16, 33, 96, 97, 128])
+def test_two_cell_predicate_matches_full_scan(grid):
+    """exists_incompatible_segment reads two cells; the full (phi0, psi0)
+    scan is the oracle, pointwise and through a bisection."""
+    from gpt_lab.compatibility import _incompatible_segments
+
+    def full(t):
+        return bool(_incompatible_segments(t, grid))
+
+    def fast(t):
+        return exists_incompatible_segment(t, grid)
+
+    ts = np.concatenate([
+        np.linspace(SQ2INV, 1.0, 61)[1:],
+        np.linspace(0.87403 - 2e-5, 0.87403 + 2e-5, 20),
+    ])
+    for t in ts:
+        assert fast(float(t)) == full(float(t)), t
+    assert _bisect_steps(fast) == _bisect_steps(full)
+
+
+@pytest.mark.parametrize("grid", [96, 256])
+def test_estimate_t0_pinned(grid):
+    assert estimate_t0(grid, 1e-3) == 0.8738618471711597

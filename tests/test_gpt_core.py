@@ -84,6 +84,24 @@ def test_json_round_trip():
         assert t2.kind == t.kind
         assert t2.n == t.n
         assert t2.representation == t.representation
+        assert t2 == t and hash(t2) == hash(t)
+
+
+def test_theory_equality_and_hash():
+    a, b = make_polygon(6), make_polygon(6)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != make_polygon(7)
+    assert a != make_polygon(6, "rescaled")
+    assert make_disc() != a
+    assert a != "Polygon(6)"
+    assert len({a, b, make_polygon(7), make_disc(), make_disc()}) == 3
+
+    square = np.array([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1.0]])
+    u = np.array([0, 0, 1.0])
+    c1 = Theory("Custom", 3, u, np.eye(3), square)
+    c2 = Theory("Custom", 3, u, np.diag([2.0, 2.0, 1.0]), square)
+    assert c1 != c2
+    assert Theory.from_json(c2.to_json()) == c2
 
 
 def test_eigenstate_requires_self_dual_even_polygon():

@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .gpt_core import (
     Theory,
     StateVec,
-    EffectVec,
     make_simplex,
     make_polygon,
     make_disc,
@@ -39,7 +38,6 @@ __all__ = [
     "__version__",
     "Theory",
     "StateVec",
-    "EffectVec",
     "make_simplex",
     "make_polygon",
     "make_disc",

@@ -20,7 +20,8 @@ import numpy as np
 
 from .gpt_core import Theory, make_disc
 from .numerics import LinearProgram, LpNumericalError, solve_lp, bisect
-from .observables import JointObservable, Observable, measure
+from .observables import JointObservable, Observable
+from .uncertainty import max_statistics_sum
 
 log = logging.getLogger("gpt_lab")
 
@@ -292,37 +293,32 @@ def _busch_F(w: float, c: float) -> float:
 
 
 def _w_and_C(t, phi0, psi0, xi):
-    s = math.sin(phi0 - xi)
-    if s <= 0:
-        raise ValueError("sin(phi0 - xi) must be positive")
-    c = t * math.sin(phi0) / s
-    w = -t * math.cos(psi0) * math.sin(xi) / s
+    """Bias w and norm C of the surrogate at angle xi; scalars or arrays.
+
+    Needs sin(phi0 - xi) > 0, which holds for every xi in (-pi + phi0, 0].
+    """
+    s = np.sin(phi0 - xi)
+    c = t * np.sin(phi0) / s
+    w = -t * np.cos(psi0) * np.sin(xi) / s
     return w, c
 
 
 def _xi_min(t, phi0, psi0):
-    """Negative root of the quadratic in sin(xi) solving 1 - w = C."""
-    aa = t * t * math.cos(psi0) ** 2 - 2 * t * math.cos(phi0) * math.cos(psi0) + 1.0
-    bb = -2 * t * math.sin(phi0) * (t * math.cos(psi0) - math.cos(phi0))
-    cc = (t * t - 1.0) * math.sin(phi0) ** 2
-    disc = bb * bb - 4 * aa * cc
-    s = (-bb - math.sqrt(max(disc, 0.0))) / (2 * aa)
-    s = min(max(s, -1.0), 0.0)
+    """Negative root of the quadratic in sin(xi) solving 1 - w = C;
+    scalars or arrays."""
+    aa = t * t * np.cos(psi0) ** 2 - 2 * t * np.cos(phi0) * np.cos(psi0) + 1.0
+    bb = -2 * t * np.sin(phi0) * (t * np.cos(psi0) - np.cos(phi0))
+    cc = (t * t - 1.0) * np.sin(phi0) ** 2
+    s = (-bb - np.sqrt(np.maximum(bb * bb - 4 * aa * cc, 0.0))) / (2 * aa)
+    s = np.clip(s, -1.0, 0.0)
     # two angles share this sine; pick the admissible one by the residual
-    cand = [math.asin(s)]
-    other = -math.pi - math.asin(s)
-    if other > -math.pi + phi0:
-        cand.append(other)
-    best, best_res = cand[0], math.inf
-    for xi in cand:
-        try:
-            w, c = _w_and_C(t, phi0, psi0, xi)
-        except ValueError:
-            continue
-        res = abs(1.0 - w - c)
-        if res < best_res:
-            best, best_res = xi, res
-    return best
+    xa = np.arcsin(s)
+    xb = -math.pi - xa
+    wa, ca = _w_and_C(t, phi0, psi0, xa)
+    wb, cb = _w_and_C(t, phi0, psi0, xb)
+    ra = np.abs(1.0 - wa - ca)
+    rb = np.where(xb > -math.pi + phi0, np.abs(1.0 - wb - cb), np.inf)
+    return np.where(ra <= rb, xa, xb)
 
 
 def _xi_max(t, phi0, psi0):
@@ -348,9 +344,9 @@ def xi_bounds(t: float, phi0: float, psi0: float):
         raise ValueError("angles must lie strictly inside (0, pi/2)")
     if not (0.0 < t <= 1.0):
         raise ValueError("t must lie in (0, 1]")
-    xi1_min = _xi_min(t, phi0, psi0)
+    xi1_min = float(_xi_min(t, phi0, psi0))
     xi1_max = _xi_max(t, phi0, psi0)
-    xi2_min = _xi_min(t, math.pi / 2 - phi0, psi0)
+    xi2_min = float(_xi_min(t, math.pi / 2 - phi0, psi0))
     xi2_max = _xi_max(t, math.pi / 2 - phi0, psi0)
     return xi1_min, xi1_max, xi2_min, xi2_max
 
@@ -363,27 +359,7 @@ def z_function(t: float, phi0: float, psi0: float) -> float:
     w1, _ = _w_and_C(t, phi0, psi0, xi1)
     w2, _ = _w_and_C(t, math.pi / 2 - phi0, psi0, xi2)
     s = math.sin(xi1 + xi2)
-    return (1 + s) * (1 + w1 + w2) - (1 - s) * w1 * w2
-
-
-def _segment_surrogates_all_incompatible(t, phi0, psi0) -> bool:
-    """Closed-form segment-incompatibility test.
-
-    Compatibility of the restricted pair reduces to compatibility of some
-    admissible surrogate pair, and among those it suffices to test the
-    extremal one at (xi1_min, xi2_min): incompatible iff
-    (1 + s)(1 - w1 - w2) > (1 - s) w1 w2 with s = sin(xi1 + xi2);
-    s -> 1 (anti-aligned axes reachable) always gives compatibility.
-    """
-    xi1_min, _, xi2_min, _ = xi_bounds(t, phi0, psi0)
-    if xi1_min + xi2_min <= -math.pi / 2 + 1e-15:
-        return False  # anti-aligned surrogates exist and are compatible
-    w1, _ = _w_and_C(t, phi0, psi0, xi1_min)
-    w2, _ = _w_and_C(t, math.pi / 2 - phi0, psi0, xi2_min)
-    s = math.sin(xi1_min + xi2_min)
-    if 1.0 - s < 1e-14:
-        return False
-    return (1 + s) * (1 - w1 - w2) > (1 - s) * w1 * w2 + 1e-12
+    return float((1 + s) * (1 + w1 + w2) - (1 - s) * w1 * w2)
 
 
 # -- qubit-disc observables ---------------------------------------------
@@ -418,8 +394,9 @@ def incompatibility_dimension_qubit(
 
     chi_incomp = 2 iff some boundary segment is S0-incompatible; segments
     are scanned with the closed-form surrogate criterion on a (phi0, psi0)
-    grid (refined near sign changes) and spot-verified by the S0 LP.  A
-    disagreement between the two certifiers aborts the scan.
+    grid and spot-verified by the S0 LP.  A disagreement between the two
+    certifiers aborts the scan.  ``details["n_incompatible_cells"]`` counts
+    at most 64 cells: the scan keeps only the first 64 hits.
     """
     if not (SQ2INV < t <= 1.0 + 1e-12):
         raise ValueError("t must lie in (1/sqrt 2, 1]")
@@ -432,9 +409,11 @@ def incompatibility_dimension_qubit(
     phis = [(i + 0.5) * (math.pi / 2) / 8 for i in range(8)]
     psis = [(i + 0.5) * (math.pi / 2) / 4 for i in range(4)]
     spot = list(itertools.product(phis, psis))[:lp_spot_checks]
+    proxies = _vectorized_proxy(
+        t, np.array([p for p, _ in spot]), np.array([q for _, q in spot])
+    ).tolist()
     disagreements = []
-    for phi0, psi0 in spot:
-        proxy = _segment_surrogates_all_incompatible(t, phi0, psi0)
+    for (phi0, psi0), proxy in zip(spot, proxies):
         ok, _ = s0_compatible(
             f, g, StateSubset(_segment_states(theory, phi0, psi0))
         )
@@ -488,40 +467,26 @@ def _incompatible_segments(t: float, grid: int):
 
 
 def _vectorized_proxy(t, phi0, psi0):
-    """Vectorized version of the extremal-pair segment test."""
+    """Extremal-pair segment criterion, on scalars or arrays of cells.
 
-    def ximin(phi):
-        aa = t * t * np.cos(psi0) ** 2 - 2 * t * np.cos(phi) * np.cos(psi0) + 1.0
-        bb = -2 * t * np.sin(phi) * (t * np.cos(psi0) - np.cos(phi))
-        cc = (t * t - 1.0) * np.sin(phi) ** 2
-        s = (-bb - np.sqrt(np.maximum(bb * bb - 4 * aa * cc, 0.0))) / (2 * aa)
-        s = np.clip(s, -1.0, 0.0)
-        xa = np.arcsin(s)
-        xb = -math.pi - xa
-        wa, ca = _w_and_C_np(t, phi, psi0, xa)
-        wb, cb = _w_and_C_np(t, phi, psi0, xb)
-        ra = np.abs(1.0 - wa - ca)
-        rb = np.where(xb > -math.pi + phi, np.abs(1.0 - wb - cb), np.inf)
-        return np.where(ra <= rb, xa, xb)
-
+    Compatibility of the pair restricted to the segment (phi0, psi0) reduces
+    to compatibility of some admissible surrogate pair, and among those it
+    suffices to test the extremal one at (xi1_min, xi2_min): the segment is
+    incompatible iff (1 + s)(1 - w1 - w2) > (1 - s) w1 w2 with
+    s = sin(xi1_min + xi2_min).  Reachable anti-aligned axes,
+    xi1_min + xi2_min <= -pi/2 or s -> 1, always give compatibility.
+    """
     phibar = math.pi / 2 - phi0
-    x1min = ximin(phi0)
-    x2min = ximin(phibar)
+    x1min = _xi_min(t, phi0, psi0)
+    x2min = _xi_min(t, phibar, psi0)
 
-    w1, _ = _w_and_C_np(t, phi0, psi0, x1min)
-    w2, _ = _w_and_C_np(t, phibar, psi0, x2min)
+    w1, _ = _w_and_C(t, phi0, psi0, x1min)
+    w2, _ = _w_and_C(t, phibar, psi0, x2min)
     s = np.sin(x1min + x2min)
     incompatible = x1min + x2min > -math.pi / 2 + 1e-15
     incompatible &= 1.0 - s >= 1e-14
     incompatible &= (1 + s) * (1 - w1 - w2) > (1 - s) * w1 * w2 + 1e-12
     return incompatible
-
-
-def _w_and_C_np(t, phi, psi0, xi):
-    s = np.sin(phi - xi)
-    c = t * np.sin(phi) / s
-    w = -t * np.cos(psi0) * np.sin(xi) / s
-    return w, c
 
 
 def chi_comp_plane_verified(theory: Theory, t: float) -> bool:
@@ -617,7 +582,7 @@ def degree_of_incompatibility(f: Observable, g: Observable, tol: float = 1e-4):
     if len(f.effects) != 2 or len(g.effects) != 2:
         raise ValueError("degree of incompatibility needs binary observables")
 
-    bound = _lp_bound_states_max(f, g) - 1.0
+    bound = max_statistics_sum(f, g) - 1.0
 
     def compatible(lam):
         ok, _ = are_compatible(fuzz(f, lam), fuzz(g, lam))
@@ -631,23 +596,6 @@ def degree_of_incompatibility(f: Observable, g: Observable, tol: float = 1e-4):
 
     lam = bisect(pred, 0.0, 1.0, tol * 0.25)
     return lam, bound
-
-
-def _lp_bound_states_max(f: Observable, g: Observable) -> float:
-    t = f.theory
-    if t.kind == "Disc":
-        best = 0.0
-        for ef in f.effects:
-            for eg in g.effects:
-                v = ef + eg
-                best = max(best, v[2] + math.hypot(v[0], v[1]))
-        return best
-    best = 0.0
-    for w in t.pure_states:
-        mf = max(t.pair(e, w) for e in f.effects)
-        mg = max(t.pair(e, w) for e in g.effects)
-        best = max(best, mf + mg)
-    return best
 
 
 def sample_feasible_joints(

@@ -38,6 +38,9 @@ class Theory:
     def __post_init__(self):
         object.__setattr__(self, "unit_effect", np.asarray(self.unit_effect, float))
         object.__setattr__(self, "g_matrix", np.asarray(self.g_matrix, float))
+        # pair() computes e.G.w and the checks below w.G.e: G must be symmetric
+        if np.max(np.abs(self.g_matrix - self.g_matrix.T)) > 1e-12:
+            raise ValueError("g_matrix is not symmetric, so not an inner product")
         if self.pure_states is not None:
             object.__setattr__(self, "pure_states", np.asarray(self.pure_states, float))
             vals = self.pure_states @ self.g_matrix @ self.unit_effect
@@ -149,17 +152,6 @@ class StateVec:
         self.coords = np.asarray(self.coords, float)
         if not is_state(self.theory, self.coords):
             raise ValueError("not a valid state of this theory")
-
-
-@dataclass
-class EffectVec:
-    theory: Theory
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, float)
-        if not is_effect(self.theory, self.coords):
-            raise ValueError("not a valid effect of this theory")
 
 
 # -- constructors -------------------------------------------------------

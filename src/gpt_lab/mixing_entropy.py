@@ -152,37 +152,17 @@ def find_distinguishing_observable(states: list) -> Observable | None:
     dim = t.dim
     nvars = m * dim
     gmat = t.g_matrix
-    rows_eq, rhs_eq = [], []
-    for d in range(dim):
-        row = np.zeros(nvars)
-        for i in range(m):
-            row[i * dim + d] = 1.0
-        rows_eq.append(row)
-        rhs_eq.append(t.unit_effect[d])
-    for j, s in enumerate(states):
-        gw = gmat @ s.coords
-        for i in range(m):
-            row = np.zeros(nvars)
-            row[i * dim : (i + 1) * dim] = gw
-            rows_eq.append(row)
-            rhs_eq.append(1.0 if i == j else 0.0)
-    rows_ub, rhs_ub = [], []
-    for w in t.pure_states:
-        gw = gmat @ w
-        for i in range(m):
-            row = np.zeros(nvars)
-            row[i * dim : (i + 1) * dim] = gw
-            rows_ub.append(row)
-            rhs_ub.append(1.0)
-            rows_ub.append(-row)
-            rhs_ub.append(0.0)
-    p = LinearProgram(
-        nvars,
-        a_eq=np.array(rows_eq),
-        b_eq=np.array(rhs_eq),
-        a_ub=np.array(rows_ub),
-        b_ub=np.array(rhs_ub),
-    )
+    eye_m = np.eye(m)
+    # the effects sum to the unit, and e_i(w_j) = delta_ij, j-major
+    a_eq = np.vstack([np.kron(np.ones((1, m)), np.eye(dim))]
+                     + [np.kron(eye_m, (gmat @ s.coords)[None]) for s in states])
+    b_eq = np.concatenate([t.unit_effect, eye_m.ravel()])
+    # 0 <= e_i(w) <= 1 at every pure state w, the two rows of each (w, i)
+    # adjacent
+    upper = np.vstack([np.kron(eye_m, (gmat @ w)[None]) for w in t.pure_states])
+    a_ub = np.stack([upper, -upper], 1).reshape(-1, nvars)
+    b_ub = np.tile([1.0, 0.0], len(upper))
+    p = LinearProgram(nvars, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
     r = solve_lp(p)
     if r.status not in ("feasible", "optimal"):
         return None

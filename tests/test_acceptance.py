@@ -1,5 +1,6 @@
 """End-to-end acceptance checks, one summary line per criterion."""
 
+import hashlib
 import json
 import math
 import time
@@ -182,10 +183,25 @@ def test_criterion_8_cli_determinism(tmp_path):
         "mixing-sweep": ["mixing-sweep", "--config", str(cfg)],
         "mur-properties": ["mur-properties", "--config", str(cfg), "--seed", "11"],
     }
+    # sha256 of each command's --jobs 1 output at this config
+    pinned = {
+        "gamma-table":
+            "446e3f810c2367f94bb8ab3effa01f23cac4829bb329b01f0c51358fcc2c7abc",
+        "incompat-scan":
+            "3561c7c6e17bd781d1ac6ec9d89345a7ef2df6ac9a0844417d898c30afd221ab",
+        "mixing-sweep":
+            "fa7ce571c59af2d84fd20823a2021d9bea1875c6847da4464dbecb39870ac125",
+        "mur-properties":
+            "d65901e156df73112b6681eef606aa24de6b255be7c44af833d3513d75eeb3b9",
+    }
     for name, argv in runs.items():
         p1 = tmp_path / f"{name}-1.out"
         p2 = tmp_path / f"{name}-2.out"
         assert main([*argv, "--out", str(p1)]) == 0
         assert main([*argv, "--out", str(p2), "--jobs", "2"]) == 0
         assert p1.read_bytes() == p2.read_bytes(), name
+        digest = hashlib.sha256(p1.read_bytes()).hexdigest()
+        assert digest == pinned[name], (
+            f"{name} output changed ({pinned[name]} -> {digest}); if the change "
+            "is intended, update the pin and record both hashes in CHANGES.md")
     report("criterion 8 (CLI determinism)")

@@ -90,8 +90,11 @@ def test_busch_matches_closed_form_on_unbiased_pairs(seed):
 
 
 def test_xi_bounds_satisfy_defining_identities():
-    from gpt_lab.compatibility import _w_and_C
+    from gpt_lab.compatibility import _w_and_C, _xi_min
 
+    # the closed forms take arrays of cells as well as scalars
+    cells = (np.arange(8) + 0.5) * (math.pi / 2) / 8
+    pp, ss = np.meshgrid(cells, cells, indexing="ij")
     for t in (0.75, 0.9, 1.0):
         for phi0, psi0 in ((0.3, 0.5), (1.0, 1.2), (0.9, 0.2)):
             x1m, x1M, x2m, x2M = xi_bounds(t, phi0, psi0)
@@ -102,6 +105,9 @@ def test_xi_bounds_satisfy_defining_identities():
             w, c = _w_and_C(t, math.pi / 2 - phi0, psi0, x2m)
             assert abs(1.0 - w - c) < 1e-10
             assert x1m <= 0.0 <= x1M < phi0
+        w, c = _w_and_C(t, pp, ss, _xi_min(t, pp, ss))
+        assert w.shape == (8, 8)
+        assert np.max(np.abs(1.0 - w - c)) < 1e-10
 
 
 def test_z_function_sign_tracks_t():

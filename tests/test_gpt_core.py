@@ -144,3 +144,9 @@ def test_constructor_validation():
         make_simplex(1)
     with pytest.raises(ValueError):
         make_disc(4)
+    # pair() computes e.G.w; with this non-symmetric G the unit check (w.G.e)
+    # passes while pair(u, w) gives 0.5 and 1.25, so G must be rejected
+    g = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError):
+        Theory(kind="Custom", dim=2, unit_effect=np.linalg.solve(g, [1.0, 1.0]),
+               g_matrix=g, pure_states=np.eye(2))

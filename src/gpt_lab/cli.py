@@ -162,15 +162,14 @@ def cmd_gamma_table(config: RunConfig) -> str:
 
 
 def _scan_one_t(arg) -> dict:
-    t, grid, tol = arg
-    rep = incompatibility_dimension_qubit(t, grid=grid, tol=tol, with_t0=False)
-    return rep.to_json_dict()
+    t, grid = arg
+    return incompatibility_dimension_qubit(t, grid=grid).to_json_dict()
 
 
 def cmd_incompat_scan(config: RunConfig) -> str:
     ts = np.linspace(config.t_min, config.t_max, config.t_steps)
     rows = _pmap(
-        _scan_one_t, [(float(t), config.grid, config.tol) for t in ts], config.jobs
+        _scan_one_t, [(float(t), config.grid) for t in ts], config.jobs
     )
     t0 = estimate_t0(config.grid, config.tol)
     t0_fine = estimate_t0(config.grid * 2, config.tol)

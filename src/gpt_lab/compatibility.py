@@ -142,7 +142,7 @@ def _grid_from_solution(theory, x, na, nb) -> JointObservable:
     return JointObservable(theory, grid, atol=1e-5)
 
 
-def _joint_feasible(theory, f, g, states=None, tol=1e-9, objective=None):
+def _joint_feasible(theory, f, g, states=None):
     """Solve the joint-observable (possibly S0-restricted) feasibility
     problem.  Returns (verdict, x) with verdict True, False, or None when
     the disc cut generation cannot settle a boundary-pinned instance."""
@@ -153,10 +153,9 @@ def _joint_feasible(theory, f, g, states=None, tol=1e-9, objective=None):
 
     if theory.kind != "Disc":
         a_ub, b_ub = _finite_nonneg_rows(theory, na * nb, dim)
-        p = LinearProgram(nvars, objective=objective, a_eq=a_eq, b_eq=b_eq,
-                          a_ub=a_ub, b_ub=b_ub)
-        r = solve_lp(p, tol)
-        if r.status in ("feasible", "optimal"):
+        p = LinearProgram(nvars, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+        r = solve_lp(p)
+        if r.status == "feasible":
             return True, r.x
         return False, None
 
@@ -168,10 +167,10 @@ def _joint_feasible(theory, f, g, states=None, tol=1e-9, objective=None):
     a_ub, _ = _disc_cut_rows(ncells, 64, shrink=False)
     best_x, best_viol = None, math.inf
     for _ in range(25):
-        p = LinearProgram(nvars, objective=objective, a_eq=a_eq, b_eq=b_eq,
-                          a_ub=a_ub, b_ub=np.zeros(len(a_ub)))
+        p = LinearProgram(nvars, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub,
+                          b_ub=np.zeros(len(a_ub)))
         try:
-            r = solve_lp(p, tol)
+            r = solve_lp(p)
         except LpNumericalError as exc:
             log.info("disc cut LP undecided: %s", exc)
             return None, None
@@ -204,7 +203,7 @@ def _joint_feasible(theory, f, g, states=None, tol=1e-9, objective=None):
 # -- public operations --------------------------------------------------
 
 
-def are_compatible(f: Observable, g: Observable, tol: float = 1e-9):
+def are_compatible(f: Observable, g: Observable):
     """LP test for the existence of a joint observable.
 
     Returns (bool, JointObservable or None).  Boundary-pinned disc
@@ -213,7 +212,7 @@ def are_compatible(f: Observable, g: Observable, tol: float = 1e-9):
     """
     if f.theory != g.theory:
         raise ValueError("observables live on different theories")
-    ok, x = _joint_feasible(f.theory, f, g, tol=tol)
+    ok, x = _joint_feasible(f.theory, f, g)
     if ok is None:
         if f.theory.kind == "Disc" and len(f.effects) == 2 and len(g.effects) == 2:
             return disc_binary_pair_compatible(f, g), None
@@ -232,7 +231,7 @@ def disc_binary_pair_compatible(f: Observable, g: Observable) -> bool:
     return busch_unbiased_compatible(w1, m1, w2, m2)
 
 
-def s0_compatible(f: Observable, g: Observable, s0: StateSubset, tol: float = 1e-9):
+def s0_compatible(f: Observable, g: Observable, s0: StateSubset):
     """Compatibility of the pair restricted to the states in ``s0``.
 
     Returns (bool, (Observable, Observable) or None): the surrogate pair is
@@ -240,7 +239,7 @@ def s0_compatible(f: Observable, g: Observable, s0: StateSubset, tol: float = 1e
     """
     if f.theory != g.theory:
         raise ValueError("observables live on different theories")
-    ok, x = _joint_feasible(f.theory, f, g, states=s0.generators, tol=tol)
+    ok, x = _joint_feasible(f.theory, f, g, states=s0.generators)
     if ok and x is not None:
         j = _grid_from_solution(f.theory, x, len(f.effects), len(g.effects))
         from .observables import marginals
@@ -383,24 +382,20 @@ def _segment_states(theory, phi0, psi0):
     return [theory.disc_state(phi0 - psi0), theory.disc_state(phi0 + psi0)]
 
 
-def incompatibility_dimension_qubit(
-    t: float,
-    grid: int = 512,
-    tol: float = 1e-3,
-    lp_spot_checks: int = 32,
-    with_t0: bool = True,
-) -> DimensionReport:
+def incompatibility_dimension_qubit(t: float, grid: int = 512) -> DimensionReport:
     """chi_incomp / chi_comp for the pair (A^{t x}, A^{t y}) on the disc.
 
     chi_incomp = 2 iff some boundary segment is S0-incompatible; segments
     are scanned with the closed-form surrogate criterion on a (phi0, psi0)
-    grid and spot-verified by the S0 LP.  A disagreement between the two
-    certifiers aborts the scan.  ``details["n_incompatible_cells"]`` counts
-    at most 64 cells: the scan keeps only the first 64 hits.
+    grid and spot-verified by the S0 LP on a fixed spread of 32 cells.  A
+    disagreement between the two certifiers aborts the scan.
+    ``details["n_incompatible_cells"]`` counts at most 64 cells: the scan
+    keeps only the first 64 hits.  The report's ``t0_estimate`` is None;
+    ``estimate_t0`` computes the threshold.
     """
     if not (SQ2INV < t <= 1.0 + 1e-12):
         raise ValueError("t must lie in (1/sqrt 2, 1]")
-    theory = make_disc(64)
+    theory = make_disc()
     f, g = mutually_unbiased_pair(theory, t)
 
     incomp_cells = _incompatible_segments(t, grid)
@@ -408,7 +403,7 @@ def incompatibility_dimension_qubit(
     # independent LP certification on a deterministic spread of cells
     phis = [(i + 0.5) * (math.pi / 2) / 8 for i in range(8)]
     psis = [(i + 0.5) * (math.pi / 2) / 4 for i in range(4)]
-    spot = list(itertools.product(phis, psis))[:lp_spot_checks]
+    spot = list(itertools.product(phis, psis))
     proxies = _vectorized_proxy(
         t, np.array([p for p, _ in spot]), np.array([q for _, q in spot])
     ).tolist()
@@ -442,15 +437,11 @@ def incompatibility_dimension_qubit(
 
     chi_comp = 3 if chi_comp_plane_verified(theory, t) else "unverified"
 
-    t0 = None
-    if with_t0:
-        t0 = estimate_t0(grid=max(64, grid // 4), tol=tol)
     return DimensionReport(
         t=t,
         chi_incomp=chi_incomp,
         chi_comp=chi_comp,
         witness=witness,
-        t0_estimate=t0,
         details={"grid": grid, "n_incompatible_cells": len(incomp_cells)},
     )
 
@@ -598,30 +589,22 @@ def degree_of_incompatibility(f: Observable, g: Observable, tol: float = 1e-4):
     return lam, bound
 
 
-def sample_feasible_joints(
-    f: Observable, g: Observable, count: int, seed: int = 0,
-    match_marginals: bool = False,
-) -> list:
+def sample_feasible_joints(f: Observable, g: Observable, count: int, seed: int = 0) -> list:
     """Random joint observables on the product outcome set of ``f`` and
     ``g``: LP vertices found by maximizing seeded random objectives over
     the joint polytope, plus random convex mixtures of those vertices for
     interior coverage.
 
-    By default only the unit-sum constraint is imposed (any joint is an
-    admissible approximator of the pair); with ``match_marginals`` the
-    marginals are pinned to ``f`` and ``g``, which requires the pair to be
-    compatible.  On the disc the effect cone is shrunk by cos(pi/64) so
-    every sampled cell is exactly valid.
+    Only the unit-sum constraint is imposed: any joint is an admissible
+    approximator of the pair.  On the disc the effect cone is shrunk by
+    cos(pi/64) so every sampled cell is exactly valid.
     """
     theory = f.theory
     na, nb = len(f.effects), len(g.effects)
     dim = theory.dim
     nvars = na * nb * dim
-    if match_marginals:
-        a_eq, b_eq = _joint_equalities(theory, f, g)
-    else:
-        a_eq = np.kron(np.ones((1, na * nb)), np.eye(dim))
-        b_eq = np.array(theory.unit_effect, float)
+    a_eq = np.kron(np.ones((1, na * nb)), np.eye(dim))
+    b_eq = np.array(theory.unit_effect, float)
     if theory.kind == "Disc":
         a_ub, b_ub = _disc_cut_rows(na * nb, 64, shrink=True)
     else:

@@ -17,6 +17,7 @@ import numpy as np
 from .numerics import LinearProgram, solve_lp
 
 TOL = 1e-9
+DISC_SAMPLES = 64  # boundary angles of the sampled disc searches
 
 
 def polygon_radius(n: int) -> float:
@@ -33,7 +34,6 @@ class Theory:
     pure_states: np.ndarray | None = None  # rows; None for the parametric disc
     n: int | None = None  # outcome count / polygon sides
     representation: str = "standard"
-    resolution: int = 64  # disc only: boundary sample count for searches
 
     def __post_init__(self):
         object.__setattr__(self, "unit_effect", np.asarray(self.unit_effect, float))
@@ -116,8 +116,6 @@ class Theory:
             payload["pure_states"] = self.pure_states.tolist()
             payload["unit_effect"] = self.unit_effect.tolist()
             payload["g_matrix"] = self.g_matrix.tolist()
-        if self.kind == "Disc":
-            payload["resolution"] = self.resolution
         return json.dumps(payload, sort_keys=True)
 
     @staticmethod
@@ -129,7 +127,7 @@ class Theory:
         if kind == "Polygon":
             return make_polygon(d["n"], d.get("representation", "standard"))
         if kind == "Disc":
-            return make_disc(d.get("resolution", 64))
+            return make_disc()
         if kind == "Custom":
             states = np.asarray(d["pure_states"], float)
             u = np.asarray(d["unit_effect"], float)
@@ -208,12 +206,10 @@ def make_polygon(n: int, representation: str = "standard") -> Theory:
     )
 
 
-def make_disc(resolution: int = 64) -> Theory:
+def make_disc() -> Theory:
     """Disc theory: boundary omega(theta) = (cos t, sin t, 1), extreme
-    effects e(theta) = omega(theta)/2.  Stored parametrically; resolution
-    only controls discretized searches."""
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
+    effects e(theta) = omega(theta)/2.  Stored parametrically; discretized
+    searches sample ``DISC_SAMPLES`` boundary angles."""
     return Theory(
         kind="Disc",
         dim=3,
@@ -221,7 +217,6 @@ def make_disc(resolution: int = 64) -> Theory:
         g_matrix=np.eye(3),
         pure_states=None,
         n=None,
-        resolution=resolution,
     )
 
 

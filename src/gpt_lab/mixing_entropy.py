@@ -15,7 +15,7 @@ decompositions with different entropy values for every other n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,18 +96,6 @@ class ConsistencyReport:
     discrepancy: float
     verdict: str  # "consistent" | "inconsistent"
     witness: str | None = None
-    extra: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "entries": [[d, float(v)] for d, v in self.entries],
-            "discrepancy": float(self.discrepancy),
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "extra": {k: float(v) for k, v in self.extra.items()},
-        }
 
 
 # -- perfect distinguishability -----------------------------------------
@@ -260,11 +248,14 @@ def enumerate_decompositions(t: Theory, w: StateVec, granularity: int = 720) -> 
     """Decompositions of ``w`` into perfectly distinguishable families.
 
     Pure states return the trivial singleton.  The disc returns diameter
-    decompositions (all of them for the center, the unique one otherwise).
-    Simplices return the vertex decomposition.  Polygons scan chord
-    directions at the given granularity and keep every chord whose two
-    boundary endpoints form a distinguishable pair; for n = 3 the full
-    vertex decomposition is included as well.
+    decompositions (``granularity`` of them for the center, the unique one
+    otherwise).  Simplices return the vertex decomposition.  Polygons keep
+    every scanned chord whose two boundary endpoints form a distinguishable
+    pair; for n = 3 the full vertex decomposition is included as well.
+    The scan covers the chords through each vertex, and for even n also
+    ``granularity`` equally spaced directions.  ``granularity`` does not
+    apply to odd n: there a distinguishable pair needs a vertex endpoint,
+    so the chords through a vertex are all of them.
     """
     if granularity < 1:
         raise ValueError("granularity must be positive")
@@ -306,11 +297,13 @@ def enumerate_decompositions(t: Theory, w: StateVec, granularity: int = 720) -> 
     verts = t.pure_states[:, :2]
     out = []
     seen = set()
-    dirs = [
-        np.array([math.cos(math.pi * k / granularity),
-                  math.sin(math.pi * k / granularity)])
-        for k in range(granularity)
-    ]
+    dirs = []
+    if t.n % 2 == 0:
+        dirs = [
+            np.array([math.cos(math.pi * k / granularity),
+                      math.sin(math.pi * k / granularity)])
+            for k in range(granularity)
+        ]
     # chords through a vertex are a measure-zero family the angle grid
     # misses, yet for odd n they are the only distinguishable ones
     for v in verts:
@@ -411,9 +404,11 @@ def _segment_intersection(p0, p1, q0, q1) -> np.ndarray:
 
 
 def _even_witness(t: Theory) -> tuple:
-    """Witness state and its two chord decompositions for even n >= 6.
+    """Entropies of the witness state's two chord decompositions for even
+    n >= 6: the vertex diameter [w0, w_{n/2}] and the offset chord
+    [w1, w_{n/2+2}] cross at the witness.
 
-    Returns (report entries, discrepancy, decompositions)."""
+    Returns (report entries, discrepancy)."""
     n = t.n
     verts = t.pure_states[:, :2]
     w0, wh = verts[0], verts[n // 2]
@@ -428,24 +423,11 @@ def _even_witness(t: Theory) -> tuple:
     f2_closed = x / (x + even_chord_ratio(n) * y)
     if abs(f2 - f2_closed) > 1e-9:
         raise RuntimeError("chord geometry disagrees with the closed ratio")
-    wp3 = np.array([wp[0], wp[1], 1.0])
-    ext = t.extreme_effects()
-    u = t.unit_effect
-    decs = []
-    for (ia, ib, ic, frac) in ((0, n // 2, 1, f1), (1, (n // 2 + 2) % n, 2, f2)):
-        cert = Observable(t, [ext[ic], u - ext[ic]])
-        fam = DistinguishableFamily(
-            [StateVec(t, t.pure_states[ia]), StateVec(t, t.pure_states[ib])],
-            cert,
-        )
-        decs.append(
-            Decomposition(StateVec(t, wp3), fam, np.array([1.0 - frac, frac]))
-        )
     entries = [
         ("witness via the vertex diameter", _h(f1)),
         ("witness via the offset chord", _h(f2)),
     ]
-    return entries, abs(_h(f1) - _h(f2)), decs
+    return entries, abs(_h(f1) - _h(f2))
 
 
 def _odd_witness(t: Theory) -> tuple:
@@ -549,7 +531,6 @@ def consistency_check(t: Theory, granularity: int = 720) -> ConsistencyReport:
             entries=[("center via diameters", s_center)],
             discrepancy=disc,
             verdict=verdict,
-            extra={"center_entropy": s_center},
         )
     if t.kind != "Polygon" or t.n < 3:
         raise ValueError("consistency check needs a polygon theory or the disc")
@@ -571,7 +552,7 @@ def consistency_check(t: Theory, granularity: int = 720) -> ConsistencyReport:
             witness="center state of the square",
         )
     if n % 2 == 0:
-        entries, disc, _ = _even_witness(t)
+        entries, disc = _even_witness(t)
         witness = "intersection of the vertex diameter and the offset chord"
     else:
         entries, disc = _odd_witness(t)

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gpt_core import Theory, is_effect
+from .gpt_core import DISC_SAMPLES, Theory, is_effect
 
 CLIP = 1e-9
 CLIP_HARD = 1e-6
@@ -76,12 +76,6 @@ class Observable:
         if self.metric is not None:
             return self.metric
         return discrete_metric(len(self.effects))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "effects": [e.tolist() for e in self.effects],
-        }
 
 
 @dataclass
@@ -152,7 +146,7 @@ def fuzz(f: Observable, lam: float) -> Observable:
     return Observable(f.theory, effs, labels=list(f.labels), metric=f.metric)
 
 
-def ideal_observables(t: Theory, disc_angles: int | None = None) -> list[Observable]:
+def ideal_observables(t: Theory) -> list[Observable]:
     """All binary ideal observables {e, u - e} built from sums of extreme
     effects, deduplicated up to relabeling.
 
@@ -160,8 +154,8 @@ def ideal_observables(t: Theory, disc_angles: int | None = None) -> list[Observa
     non-singleton sums only occur for simplices (binary coarse-grainings).
     For Simplex(d) the full d-outcome delta observable is included, and for
     Polygon(3) the three-outcome {e0, e1, e2}.  The trivial observable {u}
-    is excluded.  For the disc a finite sample of extreme-effect angles is
-    used (``disc_angles``, defaulting to the theory resolution).
+    is excluded.  For the disc the extreme effects at ``DISC_SAMPLES``
+    equally spaced angles are used.
     """
     u = t.unit_effect
     out: list[Observable] = []
@@ -186,9 +180,8 @@ def ideal_observables(t: Theory, disc_angles: int | None = None) -> list[Observa
         out.append(Observable(t, [e, comp]))
 
     if t.kind == "Disc":
-        m = disc_angles or t.resolution
-        for i in range(m):
-            th = 2 * math.pi * i / m
+        for i in range(DISC_SAMPLES):
+            th = 2 * math.pi * i / DISC_SAMPLES
             push_binary(t.disc_extreme_effect(th))
         return out
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .gpt_core import StateVec, Theory, eigenstate_of
+from .gpt_core import DISC_SAMPLES, StateVec, Theory, eigenstate_of
 from .numerics import LinearProgram, shannon_entropy, solve_lp
 from .observables import JointObservable, Observable, marginals, measure
 
@@ -62,17 +62,15 @@ def _effect_eigenstates(t: Theory, e: np.ndarray) -> list:
     return [w for w in t.pure_states if t.pair(e, w) >= 1.0 - 1e-9]
 
 
-def error_bar_width(
-    approx: Observable, ideal: Observable, epsilon: float, metric=None
-) -> float:
+def error_bar_width(approx: Observable, ideal: Observable, epsilon: float) -> float:
     """Smallest w such that, on every eigenstate of every ideal effect, the
     approximating observable puts mass at least 1 - epsilon within w/2 of
-    the corresponding outcome."""
+    the corresponding outcome, in the ideal observable's outcome metric."""
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must lie in [0, 1]")
     if len(approx.effects) != len(ideal.effects):
         raise ValueError("observables must share the outcome set")
-    d = np.asarray(metric, float) if metric is not None else ideal.get_metric()
+    d = ideal.get_metric()
     t = ideal.theory
     eigs = []
     for a, e in enumerate(ideal.effects):
@@ -144,10 +142,12 @@ def _lipschitz_lp(delta: np.ndarray, metric: np.ndarray) -> float:
     return best
 
 
-def werner_measure(approx: Observable, ideal: Observable, metric=None) -> float:
-    """Largest expectation gap over slowly varying outcome functions,
-    maximized over states."""
-    d = np.asarray(metric, float) if metric is not None else ideal.get_metric()
+def werner_measure(approx: Observable, ideal: Observable) -> float:
+    """Largest expectation gap over outcome functions that are 1-Lipschitz
+    in the ideal observable's outcome metric, maximized over states.  On
+    the disc with more than two outcomes the maximum runs over
+    ``DISC_SAMPLES`` boundary states, so it is a lower bound."""
+    d = ideal.get_metric()
     t = ideal.theory
     k = len(ideal.effects)
     if k == 2:
@@ -155,8 +155,8 @@ def werner_measure(approx: Observable, ideal: Observable, metric=None) -> float:
         return d[0, 1] * linf_distance(approx, ideal)
     if t.kind == "Disc":
         best = 0.0
-        for j in range(t.resolution):
-            th = 2 * math.pi * j / t.resolution
+        for j in range(DISC_SAMPLES):
+            th = 2 * math.pi * j / DISC_SAMPLES
             delta = _stat_gap(approx, ideal, t.disc_state(th))
             best = max(best, _lipschitz_lp(delta, d))
         return best
@@ -318,7 +318,7 @@ def _products_at(f: Observable, g: Observable, omega) -> np.ndarray:
     return np.outer(pf, pg).ravel()
 
 
-def _topk_sum_max(f: Observable, g: Observable, k: int, sampler=None) -> float:
+def _topk_sum_max(f: Observable, g: Observable, k: int) -> float:
     """max over states of the sum of the k largest outcome products."""
     t = f.theory
 
@@ -328,7 +328,7 @@ def _topk_sum_max(f: Observable, g: Observable, k: int, sampler=None) -> float:
 
     best = 0.0
     if t.kind == "Disc":
-        m = max(t.resolution, 256)
+        m = 256
         thetas = np.linspace(0.0, 2 * math.pi, m, endpoint=False)
         vals = [score(t.disc_state(th)) for th in thetas]
         j = int(np.argmax(vals))
@@ -350,13 +350,10 @@ def _topk_sum_max(f: Observable, g: Observable, k: int, sampler=None) -> float:
     for a, b in itertools.combinations(range(len(verts)), 2):
         for s in np.linspace(0.0, 1.0, 64):
             best = max(best, score((1 - s) * verts[a] + s * verts[b]))
-    if sampler is not None:
-        for w in sampler:
-            best = max(best, score(np.asarray(w, float)))
     return best
 
 
-def majorization_vector(f: Observable, g: Observable, sampler=None) -> np.ndarray:
+def majorization_vector(f: Observable, g: Observable) -> np.ndarray:
     """The vector r with partial sums R_k = max over states of the top-k
     outcome-product sum; binary pairs use the closed fast path
     r = (R1, 1 - R1, 0, 0) and verify R1 <= gamma^2 / 4."""
@@ -364,12 +361,12 @@ def majorization_vector(f: Observable, g: Observable, sampler=None) -> np.ndarra
     if na * nb > 16:
         raise ValueError("outcome grid too large; capped at 16 cells")
     if na == 2 and nb == 2:
-        r1 = _topk_sum_max(f, g, 1, sampler)
+        r1 = _topk_sum_max(f, g, 1)
         gamma = max_statistics_sum(f, g)
         if r1 > gamma * gamma / 4.0 + 1e-9:
             raise AssertionError("R1 exceeds gamma^2/4")
         return np.array([r1, 1.0 - r1, 0.0, 0.0])
-    rs = [_topk_sum_max(f, g, k, sampler) for k in range(1, na * nb + 1)]
+    rs = [_topk_sum_max(f, g, k) for k in range(1, na * nb + 1)]
     rs = np.maximum.accumulate(np.clip(rs, 0.0, 1.0))
     rs[-1] = 1.0
     out = np.diff(np.concatenate([[0.0], rs]))
@@ -385,11 +382,10 @@ def theorem_witness_state(
     ideal_g: Observable,
     eps1: float,
     eps2: float,
-    metric_a=None,
-    metric_b=None,
 ):
     """Witness states realizing the preparation bounds inside measurement
     bounds, extracted from the cells of an approximate joint observable.
+    Widths use each ideal observable's outcome metric.
 
     Returns (StateVec, report).  The report carries, for the error-bar
     witness, W_{eps1}(approx_F, F) >= overall width of the witness's F
@@ -400,11 +396,10 @@ def theorem_witness_state(
         raise ValueError("need eps1, eps2 >= 0 with eps1 + eps2 <= 1")
     t = joint.theory
     _require_self_dual(t)
-    da = np.asarray(metric_a, float) if metric_a is not None else ideal_f.get_metric()
-    db = np.asarray(metric_b, float) if metric_b is not None else ideal_g.get_metric()
+    da, db = ideal_f.get_metric(), ideal_g.get_metric()
     approx_f, approx_g = marginals(joint, atol=1e-6)
-    w1 = error_bar_width(approx_f, ideal_f, eps1, da)
-    w2 = error_bar_width(approx_g, ideal_g, eps2, db)
+    w1 = error_bar_width(approx_f, ideal_f, eps1)
+    w2 = error_bar_width(approx_g, ideal_g, eps2)
 
     na, nb = joint.shape()
     cells = []

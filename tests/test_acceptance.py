@@ -82,10 +82,10 @@ def test_criterion_3_degree_of_incompatibility():
 
 
 def test_criterion_4_incompatibility_dimension():
-    sharp = incompatibility_dimension_qubit(1.0, grid=256, with_t0=False)
+    sharp = incompatibility_dimension_qubit(1.0, grid=256)
     assert sharp.chi_incomp == 2
     assert sharp.chi_comp == 3
-    near = incompatibility_dimension_qubit(SQ2INV + 0.005, grid=256, with_t0=False)
+    near = incompatibility_dimension_qubit(SQ2INV + 0.005, grid=256)
     assert near.chi_incomp == 3
     assert near.chi_comp == 3
     t0 = estimate_t0(grid=256, tol=1e-3)

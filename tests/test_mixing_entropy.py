@@ -7,6 +7,9 @@ from gpt_lab.gpt_core import StateVec, make_disc, make_polygon, make_simplex
 from gpt_lab.mixing_entropy import (
     Decomposition,
     DistinguishableFamily,
+    _chord_hits,
+    _even_witness,
+    _polygon_pair_certificate,
     consistency_check,
     entropy_of_decomposition,
     enumerate_decompositions,
@@ -175,3 +178,80 @@ def test_all_larger_polygons_inconsistent():
 def test_state_key_folds_negative_zero():
     t = make_disc()
     assert state_key(-0.0 * t.maximally_mixed()) == state_key(0.0 * t.maximally_mixed())
+
+
+@pytest.mark.parametrize("n", range(6, 25, 2))
+def test_even_witness_entries_come_from_valid_decompositions(n):
+    # the vertex diameter [w0, w_{n/2}] and the offset chord [w1, w_{n/2+2}]
+    # cross at the witness; each is a certified distinguishable pair
+    t = make_polygon(n)
+    ext, u = t.extreme_effects(), t.unit_effect
+    verts = t.pure_states[:, :2]
+    chords = ((0, n // 2, 1), (1, (n // 2 + 2) % n, 2))
+    (a0, b0, _), (a1, b1, _) = chords
+    s, _ = np.linalg.solve(
+        np.column_stack([verts[b0] - verts[a0], verts[a1] - verts[b1]]),
+        verts[a1] - verts[a0],
+    )
+    wp = verts[a0] + s * (verts[b0] - verts[a0])
+    target = sv(t, [wp[0], wp[1], 1.0])
+    entries, disc = _even_witness(t)
+    values = []
+    for ia, ib, ic in chords:
+        frac = np.linalg.norm(wp - verts[ia]) / np.linalg.norm(verts[ib] - verts[ia])
+        fam = DistinguishableFamily(
+            [sv(t, t.pure_states[ia]), sv(t, t.pure_states[ib])],
+            Observable(t, [ext[ic], u - ext[ic]]),
+        )
+        dec = Decomposition(target, fam, np.array([1.0 - frac, frac]))
+        values.append(entropy_of_decomposition(dec))
+    assert [v for _, v in entries] == pytest.approx(values, abs=1e-12)
+    assert disc == pytest.approx(abs(values[0] - values[1]), abs=1e-12)
+
+
+def _direction_scan(t, w, granularity=720):
+    """Chord decompositions of w found by scanning ``granularity`` directions
+    plus the directions through each vertex: {endpoint keys: weights}."""
+    verts = t.pure_states[:, :2]
+    dirs = [np.array([math.cos(math.pi * k / granularity),
+                      math.sin(math.pi * k / granularity)])
+            for k in range(granularity)]
+    dirs += [(v - w[:2]) / np.linalg.norm(v - w[:2]) for v in verts]
+    found = {}
+    for d in dirs:
+        hits = _chord_hits(verts, w[:2], d)
+        if hits is None or _polygon_pair_certificate(t, *hits) is None:
+            continue
+        (a, _, _), (b, _, _) = hits
+        la, lb = np.linalg.norm(b - w[:2]), np.linalg.norm(a - w[:2])
+        key, p = _chord_key(a, b, la / (la + lb))
+        found.setdefault(key, p)
+    return found
+
+
+def _chord_key(a, b, p):
+    """Orientation-free key of the chord [a, b] with the weight of a, and
+    that weight re-read for the endpoint the key lists first."""
+    ka, kb = state_key(a), state_key(b)
+    return ((ka, kb), p) if ka <= kb else ((kb, ka), 1.0 - p)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_odd_enumeration_matches_direction_scan(n):
+    # for odd n only chords through a vertex are certified, so skipping the
+    # direction grid loses no decomposition
+    t = make_polygon(n)
+    rng = np.random.default_rng(n)
+    states = [t.maximally_mixed()]
+    states += [rng.dirichlet(np.ones(n)) @ t.pure_states for _ in range(3)]
+    for w in states:
+        decs = enumerate_decompositions(t, sv(t, w), granularity=720)
+        got = dict(
+            _chord_key(d.family.states[0].coords[:2],
+                       d.family.states[1].coords[:2], d.weights[0])
+            for d in decs if len(d.weights) == 2
+        )
+        want = _direction_scan(t, w)
+        assert want and got.keys() == want.keys()
+        for key, p in want.items():
+            assert got[key] == pytest.approx(p, abs=1e-12)

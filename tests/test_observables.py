@@ -112,10 +112,10 @@ def test_ideal_observable_counts():
 
 
 def test_ideal_observables_disc_sampling():
-    # antipodal boundary effects are complements, so 16 angles give 8
-    t = make_disc(16)
+    # antipodal boundary effects are complements, so 64 angles give 32
+    t = make_disc()
     obs = ideal_observables(t)
-    assert len(obs) == 8
+    assert len(obs) == 32
     for o in obs:
         assert len(o) == 2
 

@@ -128,8 +128,6 @@ def _gamma_rows_for_n(n: int) -> list:
     g0 = Observable(t, [ext[0], u - ext[0]])
     rows = []
     for i in range(1, (n - 1) // 2 + 1):
-        if not (0 < i < n / 2):
-            continue
         theta = 2.0 * math.pi * i / n
         fi = Observable(t, [ext[i], u - ext[i]])
         numeric = max_statistics_sum(fi, g0)

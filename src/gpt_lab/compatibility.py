@@ -76,7 +76,7 @@ class DimensionReport:
 
 def _finite_nonneg_rows(t: Theory, ncells: int, dim: int):
     """-m_c(omega) <= 0 for every cell c and pure state omega."""
-    rows = np.kron(np.eye(ncells), -(t.pure_states @ t.g_matrix))
+    rows = np.kron(np.eye(ncells), -t.pure_states)
     return rows, np.zeros(len(rows))
 
 
@@ -113,7 +113,7 @@ def _joint_equalities(theory, f: Observable, g: Observable, states=None):
     rows = [np.kron(np.ones((1, na * nb)), np.eye(dim))]
     rhs = [np.asarray(theory.unit_effect, float)]
     for w in states:
-        wv = (theory.g_matrix @ np.asarray(w, float))[None, :]
+        wv = np.asarray(w, float)[None, :]
         rows += [np.kron(sum_f, wv), np.kron(sum_g, wv)]
         rhs.append([theory.pair(e, w) for e in f.effects])
         rhs.append([theory.pair(e, w) for e in g.effects])

@@ -1,9 +1,9 @@
 """State spaces, effects, and cones for the finite-dimensional theories.
 
-Every theory lives in R^{N+1} with states of the form (x, 1) and effects
-paired through an inner product matrix G (identity for all built-in
-constructors).  Built-ins: classical simplices, regular polygon theories
-(standard or rescaled even-n representation), and the disc.
+Three families: classical simplices, regular polygon theories (standard or
+rescaled even-n representation), and the disc.  States and effects are
+coordinate vectors of one space, and an effect e gives the outcome
+probability e . w on a state w.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import LinearProgram, solve_lp
-
 TOL = 1e-9
 DISC_SAMPLES = 64  # boundary angles of the sampled disc searches
 
@@ -25,45 +23,34 @@ def polygon_radius(n: int) -> float:
     return math.sqrt(1.0 / math.cos(math.pi / n))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Theory:
-    kind: str  # "Simplex" | "Polygon" | "Disc" | "Custom"
-    dim: int
-    unit_effect: np.ndarray
-    g_matrix: np.ndarray
-    pure_states: np.ndarray | None = None  # rows; None for the parametric disc
+    """One of the three built-in families, identified by (kind, n,
+    representation); ``make_simplex``, ``make_polygon`` and ``make_disc``
+    build it.  The remaining fields follow from those three, so equality
+    and hashing ignore them."""
+
+    kind: str  # "Simplex" | "Polygon" | "Disc"
+    dim: int = field(compare=False)
+    unit_effect: np.ndarray = field(compare=False)
+    # rows; None for the parametric disc
+    pure_states: np.ndarray | None = field(default=None, compare=False)
     n: int | None = None  # outcome count / polygon sides
     representation: str = "standard"
 
     def __post_init__(self):
         object.__setattr__(self, "unit_effect", np.asarray(self.unit_effect, float))
-        object.__setattr__(self, "g_matrix", np.asarray(self.g_matrix, float))
-        # pair() computes e.G.w and the checks below w.G.e: G must be symmetric
-        if np.max(np.abs(self.g_matrix - self.g_matrix.T)) > 1e-12:
-            raise ValueError("g_matrix is not symmetric, so not an inner product")
         if self.pure_states is not None:
             object.__setattr__(self, "pure_states", np.asarray(self.pure_states, float))
-            vals = self.pure_states @ self.g_matrix @ self.unit_effect
+            vals = self.pure_states @ self.unit_effect
             if np.max(np.abs(vals - 1.0)) > 1e-12:
                 raise ValueError("unit effect is not 1 on every pure state")
-
-    # value semantics keyed on to_json(); the identity check keeps the
-    # common same-object comparison free of serialization
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Theory):
-            return NotImplemented
-        return self.to_json() == other.to_json()
-
-    def __hash__(self):
-        return hash(self.to_json())
 
     # -- basic geometry -------------------------------------------------
 
     def pair(self, e: np.ndarray, w: np.ndarray) -> float:
-        """<e, w> under this theory's inner product."""
-        return float(np.asarray(e, float) @ self.g_matrix @ np.asarray(w, float))
+        """The outcome probability e . w."""
+        return float(np.asarray(e, float) @ np.asarray(w, float))
 
     def maximally_mixed(self) -> np.ndarray:
         if self.kind == "Disc":
@@ -112,10 +99,6 @@ class Theory:
             "representation": self.representation,
             "dim": self.dim,
         }
-        if self.kind == "Custom":
-            payload["pure_states"] = self.pure_states.tolist()
-            payload["unit_effect"] = self.unit_effect.tolist()
-            payload["g_matrix"] = self.g_matrix.tolist()
         return json.dumps(payload, sort_keys=True)
 
     @staticmethod
@@ -128,16 +111,6 @@ class Theory:
             return make_polygon(d["n"], d.get("representation", "standard"))
         if kind == "Disc":
             return make_disc()
-        if kind == "Custom":
-            states = np.asarray(d["pure_states"], float)
-            u = np.asarray(d["unit_effect"], float)
-            return Theory(
-                kind="Custom",
-                dim=states.shape[1],
-                unit_effect=u,
-                g_matrix=np.asarray(d["g_matrix"], float),
-                pure_states=states,
-            )
         raise ValueError(f"unknown theory kind {kind!r}")
 
 
@@ -158,8 +131,8 @@ class StateVec:
 def make_simplex(d: int) -> Theory:
     """Classical theory with d perfectly distinguishable pure states.
 
-    Pure states are the standard basis vectors, the unit effect is the
-    all-ones functional and G is the identity.
+    Pure states are the standard basis vectors and the unit effect is the
+    all-ones functional.
     """
     if d < 2:
         raise ValueError("simplex needs at least two outcomes")
@@ -167,7 +140,6 @@ def make_simplex(d: int) -> Theory:
         kind="Simplex",
         dim=d,
         unit_effect=np.ones(d),
-        g_matrix=np.eye(d),
         pure_states=np.eye(d),
         n=d,
     )
@@ -199,7 +171,6 @@ def make_polygon(n: int, representation: str = "standard") -> Theory:
         kind="Polygon",
         dim=3,
         unit_effect=np.array([0.0, 0.0, 1.0]),
-        g_matrix=np.eye(3),
         pure_states=states,
         n=n,
         representation=representation,
@@ -214,7 +185,6 @@ def make_disc() -> Theory:
         kind="Disc",
         dim=3,
         unit_effect=np.array([0.0, 0.0, 1.0]),
-        g_matrix=np.eye(3),
         pure_states=None,
         n=None,
     )
@@ -224,25 +194,17 @@ def make_disc() -> Theory:
 
 
 def is_state(t: Theory, v, tol: float = TOL) -> bool:
+    """Whether v is a state, with ``tol`` a tolerance on outcome
+    probabilities: u(v) within tol of 1 and every extreme effect >= -tol on
+    v (for the disc, |(v0, v1)|^2 <= 1 + 2 tol)."""
     v = np.asarray(v, float)
     if v.shape != (t.dim,):
         raise ValueError("dimension mismatch")
+    if abs(t.unit_effect @ v - 1.0) > tol:
+        return False
     if t.kind == "Disc":
-        if abs(v[2] - 1.0) > tol:
-            return False
         return v[0] ** 2 + v[1] ** 2 <= 1.0 + 2 * tol
-    if t.kind == "Simplex":
-        return bool(np.all(v >= -tol) and abs(v.sum() - 1.0) <= tol)
-    # convex-hull membership by LP
-    pts = t.pure_states
-    k = pts.shape[0]
-    p = LinearProgram(
-        n_vars=k,
-        a_eq=np.vstack([pts.T, np.ones((1, k))]),
-        b_eq=np.concatenate([v, [1.0]]),
-        lower_bounds=np.zeros(k),
-    )
-    return solve_lp(p, tol).status == "feasible"
+    return bool(np.all(t.extreme_effects() @ v >= -tol))
 
 
 def is_effect(t: Theory, v, tol: float = TOL) -> bool:
@@ -252,27 +214,26 @@ def is_effect(t: Theory, v, tol: float = TOL) -> bool:
     if t.kind == "Disc":
         nx = math.hypot(v[0], v[1])
         return v[2] - nx >= -tol and v[2] + nx <= 1.0 + tol
-    vals = t.pure_states @ t.g_matrix @ v
+    vals = t.pure_states @ v
     return bool(np.all(vals >= -tol) and np.all(vals <= 1.0 + tol))
 
 
-def eigenstate_of(t: Theory, e) -> np.ndarray:
-    """Normalize an effect to its eigenstate e / <u, e>.
-
-    Only valid in a self-dual representation (simplex, odd polygon, disc,
-    rescaled even polygon), where the normalized effect is a state.
-    """
-    e = np.asarray(e, float)
+def require_self_dual(t: Theory) -> None:
+    """Raise unless t is in a self-dual representation (simplex, odd
+    polygon, disc, rescaled even polygon)."""
     if t.kind == "Polygon" and t.n % 2 == 0 and t.representation != "rescaled":
-        raise ValueError("even polygon must be in the rescaled representation")
+        raise ValueError("even polygon must be in the self-dual (rescaled) representation")
+
+
+def eigenstate_of(t: Theory, e) -> np.ndarray:
+    """Normalize an effect to its eigenstate e / <u, e>; t must be in a
+    self-dual representation, where the normalized effect is a state."""
+    require_self_dual(t)
+    e = np.asarray(e, float)
     ue = t.pair(t.unit_effect, e)
     if ue <= TOL:
         raise ValueError("effect has no weight on the unit")
-    if t.kind == "Simplex":
-        # normalized coordinates: the state proportional to e
-        w = e / e.sum()
-    else:
-        w = e / ue
+    w = e / ue
     if not is_state(t, w, tol=1e-7):
         raise ValueError("normalized effect is not a state in this representation")
     return w
@@ -306,11 +267,5 @@ def convert_state(v: np.ndarray, src: Theory, dst: Theory) -> np.ndarray:
 
 
 def convert_effect(e: np.ndarray, src: Theory, dst: Theory) -> np.ndarray:
-    if src.kind != "Polygon" or dst.kind != "Polygon" or src.n != dst.n:
-        raise ValueError("conversion only between representations of one polygon")
-    psi = rescale_matrix(src.n)
-    if src.representation == dst.representation:
-        return np.array(e, float)
-    if dst.representation == "rescaled":
-        return np.linalg.solve(psi, np.asarray(e, float))
-    return psi @ np.asarray(e, float)
+    # psi is diagonal, so effects map by psi^{-T} = psi^{-1}: the state map backwards
+    return convert_state(e, dst, src)

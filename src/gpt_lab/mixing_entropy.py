@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gpt_core import StateVec, Theory, is_state, polygon_radius
+from .gpt_core import StateVec, Theory
 from .numerics import LinearProgram, shannon_entropy, solve_lp
 from .observables import Observable
 
@@ -139,15 +139,14 @@ def find_distinguishing_observable(states: list) -> Observable | None:
 
     dim = t.dim
     nvars = m * dim
-    gmat = t.g_matrix
     eye_m = np.eye(m)
     # the effects sum to the unit, and e_i(w_j) = delta_ij, j-major
     a_eq = np.vstack([np.kron(np.ones((1, m)), np.eye(dim))]
-                     + [np.kron(eye_m, (gmat @ s.coords)[None]) for s in states])
+                     + [np.kron(eye_m, s.coords[None]) for s in states])
     b_eq = np.concatenate([t.unit_effect, eye_m.ravel()])
     # 0 <= e_i(w) <= 1 at every pure state w, the two rows of each (w, i)
     # adjacent
-    upper = np.vstack([np.kron(eye_m, (gmat @ w)[None]) for w in t.pure_states])
+    upper = np.vstack([np.kron(eye_m, w[None]) for w in t.pure_states])
     a_ub = np.stack([upper, -upper], 1).reshape(-1, nvars)
     b_ub = np.tile([1.0, 0.0], len(upper))
     p = LinearProgram(nvars, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .gpt_core import DISC_SAMPLES, StateVec, Theory, eigenstate_of
+from .gpt_core import DISC_SAMPLES, StateVec, Theory, eigenstate_of, require_self_dual
 from .numerics import LinearProgram, shannon_entropy, solve_lp
 from .observables import JointObservable, Observable, marginals, measure
 
@@ -183,18 +183,11 @@ def linf_distance(approx: Observable, ideal: Observable) -> float:
 # -- entropic measures --------------------------------------------------
 
 
-def _require_self_dual(t: Theory) -> None:
-    if t.kind == "Polygon" and t.n % 2 == 0 and t.representation != "rescaled":
-        raise ValueError(
-            "entropic measures need the self-dual (rescaled) representation"
-        )
-
-
 def entropic_noise(approx: Observable, ideal: Observable) -> float:
     """Conditional entropy H(ideal | approx) of the joint outcome
     distribution p(x, xhat) = <e_x, m_xhat> (self-dual representation)."""
     t = ideal.theory
-    _require_self_dual(t)
+    require_self_dual(t)
     joint = np.array(
         [
             [t.pair(e, m) for m in approx.effects]
@@ -395,7 +388,7 @@ def theorem_witness_state(
     if eps1 < 0 or eps2 < 0 or eps1 + eps2 > 1.0:
         raise ValueError("need eps1, eps2 >= 0 with eps1 + eps2 <= 1")
     t = joint.theory
-    _require_self_dual(t)
+    require_self_dual(t)
     da, db = ideal_f.get_metric(), ideal_g.get_metric()
     approx_f, approx_g = marginals(joint, atol=1e-6)
     w1 = error_bar_width(approx_f, ideal_f, eps1)

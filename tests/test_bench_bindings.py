@@ -6,7 +6,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from gpt_lab import compatibility, uncertainty
+from gpt_lab import compatibility, gpt_core, uncertainty
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -31,3 +31,14 @@ def test_benchmark_call_signatures_bind():
     inspect.signature(compatibility.degree_of_incompatibility).bind(f, g, tol=1e-6)
     inspect.signature(compatibility.sample_feasible_joints).bind(f, g, 2, seed=0)
     inspect.signature(uncertainty.theorem_witness_state).bind(jo, f, g, 0.1, 0.2)
+
+
+def test_benchmark_theories_bind_and_expose_what_it_reads():
+    inspect.signature(gpt_core.make_polygon).bind(6, "rescaled")
+    inspect.signature(gpt_core.make_simplex).bind(3)
+    inspect.signature(gpt_core.make_disc).bind()
+    for t in (gpt_core.make_polygon(6, "rescaled"), gpt_core.make_simplex(3)):
+        effects = t.extreme_effects()
+        assert t.pure_states.shape == (t.n, t.dim) and effects.shape == (t.n, t.dim)
+        assert t.unit_effect.shape == (t.dim,)
+    assert gpt_core.make_disc().unit_effect.shape == (3,)

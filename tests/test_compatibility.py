@@ -239,7 +239,7 @@ def test_vectorized_row_builders_match_loops():
         return row
 
     for t in (make_polygon(5), make_simplex(3)):
-        pts = t.pure_states @ t.g_matrix
+        pts = t.pure_states
         want = [cell(c, t.dim, 4 * t.dim, -p) for c in range(4) for p in pts]
         assert np.array_equal(_finite_nonneg_rows(t, 4, t.dim)[0], np.array(want))
 
@@ -274,7 +274,7 @@ def test_vectorized_row_builders_match_loops():
     assert np.array_equal(got_rhs, np.array(rhs))
 
     w = t.pure_states[1]
-    wv = t.g_matrix @ w
+    wv = w
     rows = [sum(cell(c, dim, nvars, np.eye(dim)[d]) for c in range(na * nb))
             for d in range(dim)]
     rhs = list(t.unit_effect)

@@ -18,6 +18,7 @@ from gpt_lab.gpt_core import (
     polygon_radius,
     to_rescaled,
 )
+from gpt_lab.numerics import LinearProgram, solve_lp
 
 
 def test_polygon_radius_values():
@@ -96,13 +97,6 @@ def test_theory_equality_and_hash():
     assert a != "Polygon(6)"
     assert len({a, b, make_polygon(7), make_disc(), make_disc()}) == 3
 
-    square = np.array([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1.0]])
-    u = np.array([0, 0, 1.0])
-    c1 = Theory("Custom", 3, u, np.eye(3), square)
-    c2 = Theory("Custom", 3, u, np.diag([2.0, 2.0, 1.0]), square)
-    assert c1 != c2
-    assert Theory.from_json(c2.to_json()) == c2
-
 
 def test_eigenstate_requires_self_dual_even_polygon():
     t = make_polygon(6)
@@ -142,9 +136,49 @@ def test_constructor_validation():
         make_polygon(5, "rescaled")
     with pytest.raises(ValueError):
         make_simplex(1)
-    # pair() computes e.G.w; with this non-symmetric G the unit check (w.G.e)
-    # passes while pair(u, w) gives 0.5 and 1.25, so G must be rejected
-    g = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        Theory(kind="Custom", dim=2, unit_effect=np.linalg.solve(g, [1.0, 1.0]),
-               g_matrix=g, pure_states=np.eye(2))
+
+
+def _hull_lp_is_state(t, v):
+    """Reference: v is a convex combination of the pure states."""
+    pts = t.pure_states
+    k = len(pts)
+    p = LinearProgram(
+        n_vars=k,
+        a_eq=np.vstack([pts.T, np.ones((1, k))]),
+        b_eq=np.concatenate([v, [1.0]]),
+        lower_bounds=np.zeros(k),
+    )
+    return solve_lp(p).status == "feasible"
+
+
+def test_is_state_matches_hull_lp():
+    theories = [make_polygon(n) for n in range(3, 13)]
+    theories += [make_polygon(n, "rescaled") for n in range(4, 13, 2)]
+    theories.append(make_simplex(3))
+    rng = np.random.default_rng(7)
+    checked = 0
+    for t in theories:
+        ext = t.extreme_effects()
+        reach = 1.2 * np.abs(t.pure_states).max()
+        for _ in range(40):
+            v = rng.uniform(-reach, reach, t.dim)
+            v[-1] = 1.0 - v[:-1].sum() if t.kind == "Simplex" else 1.0
+            if rng.random() < 0.1:
+                v *= 1.0 + rng.choice([-1e-3, 1e-3])  # off the plane u(v) = 1
+            elif np.abs(ext @ v).min() < 1e-7:
+                continue  # too close to a facet for either test to be exact
+            assert is_state(t, v) == _hull_lp_is_state(t, v), (t, v)
+            checked += 1
+    assert checked > 600
+
+    # tol bounds the outcome probabilities: a facet value of -2e-9 is out,
+    # one of -5e-10 is in
+    t = make_polygon(12)
+    ext = t.extreme_effects()
+    mid = 0.5 * (t.pure_states[0] + t.pure_states[1])
+    e = ext[np.argmin(ext @ mid)]
+    out = -np.array([e[0], e[1], 0.0]) / (e[0] ** 2 + e[1] ** 2)  # e(out) = -1
+    for depth, want in ((2e-9, False), (5e-10, True)):
+        v = mid + (depth + e @ mid) * out
+        assert (ext @ v).min() == pytest.approx(-depth, abs=1e-15)
+        assert is_state(t, v) is want

@@ -1,8 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import errors, given, reject, settings
 from hypothesis import strategies as st
 
 from gpt_lab.numerics import LinearProgram, bisect, shannon_entropy, solve_lp
@@ -160,7 +161,9 @@ _STATUSES = ("optimal", "feasible", "infeasible", "unbounded")
 
 
 def _highs_status(p):
-    """(status, value) of ``p`` solved by scipy's HiGHS."""
+    """(status, value) of ``p`` solved by scipy's HiGHS; rejects the
+    hypothesis example when HiGHS gives no verdict (iteration limit or
+    numerical difficulties)."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     lb = np.full(p.n_vars, -np.inf) if p.lower_bounds is None else p.lower_bounds
     res = linprog(
@@ -170,6 +173,8 @@ def _highs_status(p):
         method="highs",
         options={"presolve": False},  # presolve misreports some unbounded LPs
     )
+    if res.status in (1, 4):
+        reject()
     status = {0: "optimal" if p.objective is not None else "feasible",
               2: "infeasible", 3: "unbounded"}[res.status]
     return status, res.fun
@@ -236,3 +241,18 @@ def test_lp_matches_highs_on_disc_cut_lps(ta, pa, tb, pb):
     a_ub, b_ub = _disc_cut_rows(4, 64, shrink=False)
     p = LinearProgram(12, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
     assert solve_lp(p).status == _highs_status(p)[0]
+
+
+def test_highs_oracle_rejects_examples_it_cannot_decide(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(optimize, "linprog",
+                        lambda *args, **kwargs: SimpleNamespace(status=4, fun=None))
+    p = LinearProgram(2, a_ub=np.ones((1, 2)), b_ub=np.ones(1), lower_bounds=np.zeros(2))
+
+    @settings(max_examples=5, database=None)
+    @given(st.just(p))
+    def oracle(q):
+        _highs_status(q)
+
+    with pytest.raises(errors.Unsatisfiable):
+        oracle()

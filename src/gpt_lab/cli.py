@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,8 +77,11 @@ class RunConfig:
             self.jobs = os.cpu_count() or 1
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if not self.eps:
-            raise ValueError("eps grid must be non-empty")
+        if not self.eps or not all(0.0 < e <= 1.0 for e in self.eps):
+            raise ValueError("eps grid must be non-empty and lie in (0, 1]")
+        for name in ("trials", "grid", "granularity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.n is not None:
             self.n_min = self.n_max = int(self.n)
         if self.n_min > self.n_max or self.n_min < 3:
@@ -99,6 +102,9 @@ class RunConfig:
             if v is not None:
                 data[key] = v
         data.pop("command", None)
+        unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return RunConfig(command=command, **data)
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gpt_core import Theory, make_disc
+from .gpt_core import DISC_SAMPLES, Theory, make_disc
 from .numerics import LinearProgram, LpNumericalError, solve_lp, bisect
-from .observables import JointObservable, Observable
+from .observables import JointObservable, Observable, fuzz, marginals
 from .uncertainty import max_statistics_sum
 
 log = logging.getLogger("gpt_lab")
@@ -74,32 +74,30 @@ class DimensionReport:
 # -- LP assembly helpers ------------------------------------------------
 
 
-def _finite_nonneg_rows(t: Theory, ncells: int, dim: int):
-    """-m_c(omega) <= 0 for every cell c and pure state omega."""
-    rows = np.kron(np.eye(ncells), -t.pure_states)
-    return rows, np.zeros(len(rows))
+def _cone_rows(theory: Theory, ncells: int, shrink: bool = False) -> np.ndarray:
+    """Rows of -m_c(omega) <= 0, right-hand side zero, for every cell c.
 
-
-def _disc_cut_rows(ncells: int, k_cuts: int, shrink: bool):
-    """Nonnegativity cuts for disc-effect cells.
-
-    Relaxed (shrink=False): m(omega_theta) >= 0 at k sampled boundary
-    angles; a superset of the true cone, so infeasibility is a certificate.
-    Shrunk (shrink=True): the same cuts scaled by cos(pi/k) on the z part,
-    a subset of the true cone, so feasible points are exactly valid.
+    A finite theory's omega are its pure states, so the rows are its exact
+    effect cone.  The disc's are the ``DISC_SAMPLES`` boundary states: a
+    superset of the true cone, so infeasibility is a certificate.  With
+    ``shrink`` their z part is scaled by cos(pi/DISC_SAMPLES), a subset of
+    the true cone, so feasible points are exactly valid.
     """
-    s = math.cos(math.pi / k_cuts) if shrink else 1.0
-    ths = [2 * math.pi * j / k_cuts for j in range(k_cuts)]
-    cuts = np.array([[-math.cos(th), -math.sin(th), -s] for th in ths])
-    rows = np.kron(np.eye(ncells), cuts)
-    return rows, np.zeros(len(rows))
+    if theory.kind != "Disc":
+        return np.kron(np.eye(ncells), -theory.pure_states)
+    ths = [2 * math.pi * j / DISC_SAMPLES for j in range(DISC_SAMPLES)]
+    states = np.array([theory.disc_state(th) for th in ths])
+    if shrink:
+        states[:, 2] *= math.cos(math.pi / DISC_SAMPLES)
+    return np.kron(np.eye(ncells), -states)
 
 
 def _joint_equalities(theory, f: Observable, g: Observable, states=None):
     """Marginal equality rows over cell coordinate variables.
 
     With states=None the equalities are exact (coordinatewise); otherwise
-    they are imposed only as statistics on the given states.
+    they are imposed only as statistics on the given states, and an empty
+    ``states`` leaves only the unit-sum rows.
     """
     na, nb = len(f.effects), len(g.effects)
     dim = theory.dim
@@ -145,26 +143,20 @@ def _grid_from_solution(theory, x, na, nb) -> JointObservable:
 def _joint_feasible(theory, f, g, states=None):
     """Solve the joint-observable (possibly S0-restricted) feasibility
     problem.  Returns (verdict, x) with verdict True, False, or None when
-    the disc cut generation cannot settle a boundary-pinned instance."""
+    the instance is left undecided.
+
+    The cone rows are valid for the true effect cone, so infeasibility is
+    always a certificate.  A finite theory's rows are its exact cone, so
+    its first feasible solve is a joint.  The disc adds a supporting cut
+    for every cell that violates the cone beyond 1e-7 (Kelley's loop) and
+    accepts once none does.  An LP verdict that fails its certificate
+    check leaves the instance undecided.
+    """
     na, nb = len(f.effects), len(g.effects)
-    dim = theory.dim
-    nvars = na * nb * dim
-    a_eq, b_eq = _joint_equalities(theory, f, g, states)
-
-    if theory.kind != "Disc":
-        a_ub, b_ub = _finite_nonneg_rows(theory, na * nb, dim)
-        p = LinearProgram(nvars, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-        r = solve_lp(p)
-        if r.status == "feasible":
-            return True, r.x
-        return False, None
-
-    # supporting-cut generation for the disc effect cone.  All cuts are valid
-    # for the true cone, so infeasibility is always a certificate; feasibility
-    # is accepted once no cell violates the cone beyond 1e-7.  An LP verdict
-    # that fails its certificate check leaves the instance undecided.
     ncells = na * nb
-    a_ub, _ = _disc_cut_rows(ncells, 64, shrink=False)
+    nvars = ncells * theory.dim
+    a_eq, b_eq = _joint_equalities(theory, f, g, states)
+    a_ub = _cone_rows(theory, ncells)
     best_x, best_viol = None, math.inf
     for _ in range(25):
         p = LinearProgram(nvars, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub,
@@ -172,10 +164,12 @@ def _joint_feasible(theory, f, g, states=None):
         try:
             r = solve_lp(p)
         except LpNumericalError as exc:
-            log.info("disc cut LP undecided: %s", exc)
+            log.info("joint LP undecided: %s", exc)
             return None, None
         if r.status == "infeasible":
             return False, None
+        if theory.kind != "Disc":
+            return True, r.x
         new = []
         viol = 0.0
         for c in range(ncells):
@@ -242,8 +236,6 @@ def s0_compatible(f: Observable, g: Observable, s0: StateSubset):
     ok, x = _joint_feasible(f.theory, f, g, states=s0.generators)
     if ok and x is not None:
         j = _grid_from_solution(f.theory, x, len(f.effects), len(g.effects))
-        from .observables import marginals
-
         return True, marginals(j, atol=1e-5)
     return ok, None
 
@@ -368,7 +360,7 @@ def disc_axis_observable(theory: Theory, t: float, angle: float) -> Observable:
     """A^{t v} with v = (cos angle, sin angle) mapped onto the disc."""
     u = theory.unit_effect
     plus = 0.5 * np.array([t * math.cos(angle), t * math.sin(angle), 1.0])
-    return Observable(theory, [plus, u - plus], labels=["+", "-"])
+    return Observable(theory, [plus, u - plus])
 
 
 def mutually_unbiased_pair(theory: Theory, t: float):
@@ -568,8 +560,6 @@ def degree_of_incompatibility(f: Observable, g: Observable, tol: float = 1e-4):
     Returns (lambda, closed_form_upper_bound).  The bound is
     max over pure states of (max_i f_i + max_j g_j) - 1.
     """
-    from .observables import fuzz
-
     if len(f.effects) != 2 or len(g.effects) != 2:
         raise ValueError("degree of incompatibility needs binary observables")
 
@@ -597,18 +587,14 @@ def sample_feasible_joints(f: Observable, g: Observable, count: int, seed: int =
 
     Only the unit-sum constraint is imposed: any joint is an admissible
     approximator of the pair.  On the disc the effect cone is shrunk by
-    cos(pi/64) so every sampled cell is exactly valid.
+    cos(pi/DISC_SAMPLES) so every sampled cell is exactly valid.
     """
     theory = f.theory
     na, nb = len(f.effects), len(g.effects)
-    dim = theory.dim
-    nvars = na * nb * dim
-    a_eq = np.kron(np.ones((1, na * nb)), np.eye(dim))
-    b_eq = np.array(theory.unit_effect, float)
-    if theory.kind == "Disc":
-        a_ub, b_ub = _disc_cut_rows(na * nb, 64, shrink=True)
-    else:
-        a_ub, b_ub = _finite_nonneg_rows(theory, na * nb, dim)
+    nvars = na * nb * theory.dim
+    a_eq, b_eq = _joint_equalities(theory, f, g, states=())
+    a_ub = _cone_rows(theory, na * nb, shrink=True)
+    b_ub = np.zeros(len(a_ub))
     rng = np.random.default_rng(seed)
     vertices = []
     n_vertex = max(2, (count + 1) // 2)

@@ -1,10 +1,11 @@
 """Small self-contained numerical kernel: dense LP solver, bisection, entropy.
 
-The LP solver is a dense two-phase simplex.  Every problem in this package
-is tiny (at most a few hundred rows), so determinism and simplicity win over
-sparse machinery.  The pivot rules:
+The LP solver is a dense two-phase simplex over free variables.  Every
+problem in this package is tiny (at most a few hundred rows), so
+determinism and simplicity win over sparse machinery.  The pivot rules:
 
-- entering: Bland's rule, the first column with reduced cost below -tol_lp;
+- entering: Bland's rule, the first column with reduced cost below -``TOL``
+  (1e-9);
 - ratio test: only rows whose column entry exceeds ``PIVOT_TOL`` (1e-7) can
   leave, so no pivot ever lands on a round-off-sized entry;
 - leaving: among the rows tied at the minimum ratio (within a 1e-12 relative
@@ -14,10 +15,10 @@ sparse machinery.  The pivot rules:
 
 Every verdict is checked against the original data before it is returned.
 "infeasible" needs the phase-1 dual y (a Farkas certificate) to satisfy
-max(y.A) <= 1e-9 and y.b > tol_lp on the sign-normalized constraint rows;
-"feasible" and "optimal" need x to meet every original equality, inequality
-and lower bound within max(1e-9, tol_lp) (1 + |rhs|).  A verdict that fails its check
-raises ``LpNumericalError`` instead of being returned.
+max(y.A) <= TOL and y.b > TOL on the sign-normalized constraint rows;
+"feasible" and "optimal" need x to meet every original equality and
+inequality within TOL (1 + |rhs|).  A verdict that fails its check raises
+``LpNumericalError`` instead of being returned.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+TOL = 1e-9
 PIVOT_TOL = 1e-7
 TIE_PIVOT_FRAC = 1e-3
-CERT_TOL = 1e-9
+ENTROPY_CLIP = 1e-7
 
 
 class LpNumericalError(RuntimeError):
@@ -39,11 +40,9 @@ class LpNumericalError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """min c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x free or x >= lb.
+    """min c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  every x_i free.
 
-    objective may be None for a pure feasibility problem.  ``lower_bounds``
-    is either None (all variables free) or a vector where finite entries are
-    lower bounds and -inf marks a free variable.
+    objective may be None for a pure feasibility problem.
     """
 
     n_vars: int
@@ -52,7 +51,6 @@ class LinearProgram:
     b_eq: np.ndarray | None = None
     a_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
-    lower_bounds: np.ndarray | None = None
 
     def validate(self) -> None:
         def chk(a, b, name):
@@ -97,13 +95,13 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     basis[r] = j
 
 
-def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int, tol: float) -> str:
+def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int) -> str:
     """Run simplex pivots on tableau ``tab`` (objective in the last row,
     rhs in the last column) with the pivot rules of the module docstring."""
     m = tab.shape[0] - 1
     red = tab[-1, :ncols]
     for _ in range(50 * (m + ncols) + 1000):
-        below = red < -tol
+        below = red < -TOL
         if not below.any():
             return "optimal"
         enter = int(below.argmax())
@@ -120,26 +118,15 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int, tol: float) -> str:
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def solve_lp(p: LinearProgram, tol_lp: float = DEFAULT_TOL) -> LpResult:
-    """Two-phase dense simplex.  Free variables are split into differences
-    of nonnegatives; finite lower bounds are shifted to zero.  Raises
-    LpNumericalError when a verdict fails its certificate check."""
-    if tol_lp <= 0:
-        raise ValueError("tol_lp must be positive")
+def solve_lp(p: LinearProgram) -> LpResult:
+    """Two-phase dense simplex.  Every variable is free and is split into
+    a plus and a minus column.  Raises LpNumericalError when a verdict
+    fails its certificate check at tolerance ``TOL``."""
     p.validate()
     n = p.n_vars
-
-    lb = np.full(n, -math.inf) if p.lower_bounds is None else np.asarray(
-        p.lower_bounds, dtype=float
-    )
-    free = ~np.isfinite(lb)
-    shift = np.where(free, 0.0, lb)
-
-    # columns: one per bounded var, two (plus/minus) per free var
-    width = np.where(free, 2, 1)
-    col_of = np.cumsum(width) - width
-    minus = col_of[free] + 1
-    ncols = int(width.sum())
+    col_of = 2 * np.arange(n)
+    minus = col_of + 1
+    ncols = 2 * n
 
     def block(a, b):
         if a is None:
@@ -155,9 +142,9 @@ def solve_lp(p: LinearProgram, tol_lp: float = DEFAULT_TOL) -> LpResult:
     # sign-normalized rows [A+ | A- | slack identity] x' = b' >= 0
     amat = np.zeros((m, total))
     amat[:, col_of] = a
-    amat[:, minus] = -a[:, free]
+    amat[:, minus] = -a
     amat[np.arange(m_eq, m), np.arange(ncols, total)] = 1.0
-    bvec = b - a @ shift
+    bvec = b.copy()
     neg = bvec < 0
     amat[neg] *= -1.0
     bvec[neg] *= -1.0
@@ -177,12 +164,12 @@ def solve_lp(p: LinearProgram, tol_lp: float = DEFAULT_TOL) -> LpResult:
     tab[-1, total:-1] = 1.0
     tab[-1] -= tab[art_rows].sum(axis=0)
     basis = basis0.copy()
-    if _simplex(tab, basis, total + n_art, tol_lp) != "optimal":
+    if _simplex(tab, basis, total + n_art) != "optimal":
         raise LpNumericalError("phase 1 reported an unbounded sum of artificials")
-    if -tab[-1, -1] > tol_lp:
+    if -tab[-1, -1] > TOL:
         # Farkas certificate: y.A' <= 0 on every column while y.b' > 0
         y = need_art - tab[-1, basis0]
-        if (y @ amat).max(initial=0.0) > CERT_TOL or y @ bvec <= tol_lp:
+        if (y @ amat).max(initial=0.0) > TOL or y @ bvec <= TOL:
             raise LpNumericalError("phase-1 infeasibility certificate fails")
         return LpResult("infeasible")
 
@@ -201,25 +188,20 @@ def solve_lp(p: LinearProgram, tol_lp: float = DEFAULT_TOL) -> LpResult:
         c = np.asarray(p.objective, dtype=float)
         cfull = np.zeros(total)
         cfull[col_of] = c
-        cfull[minus] = -c[free]
+        cfull[minus] = -c
         tab2[-1, :total] = cfull
         tab2[-1] -= cfull[basis2] @ tab2[:-1]
-        if _simplex(tab2, basis2, total, tol_lp) == "unbounded":
+        if _simplex(tab2, basis2, total) == "unbounded":
             return LpResult("unbounded")
 
     xfull = np.zeros(total)
     xfull[basis2] = tab2[:-1, -1]
-    x = xfull[col_of] + shift
-    x[free] -= xfull[minus]
-    # primal check against the original rows and lower bounds
+    x = xfull[col_of] - xfull[minus] + 0.0  # no entry comes back as -0.0
+    # primal check against the original rows
     resid = a @ x - b
     resid[:m_eq] = np.abs(resid[:m_eq])
-    bounded = ~free
-    worst = max(
-        np.max(resid / (1.0 + np.abs(b)), initial=0.0),
-        np.max((lb[bounded] - x[bounded]) / (1.0 + np.abs(lb[bounded])), initial=0.0),
-    )
-    if worst > max(CERT_TOL, tol_lp):
+    worst = np.max(resid / (1.0 + np.abs(b)), initial=0.0)
+    if worst > TOL:
         raise LpNumericalError(f"LP point misses its constraints by {worst:.2e}")
     if p.objective is not None:
         return LpResult("optimal", x=x, value=float(c @ x))
@@ -247,22 +229,19 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-9) -> float:
     return 0.5 * (lo + hi)
 
 
-def shannon_entropy(p, base: float | None = None, tol: float = 1e-7) -> float:
-    """-sum p log p with 0 log 0 = 0.  Natural log unless ``base`` given.
+def shannon_entropy(p) -> float:
+    """-sum p log p in nats, with 0 log 0 = 0.
 
-    Small negative entries (>= -tol) are clipped to zero and the vector is
-    renormalized; anything worse is rejected.
+    Small negative entries (>= -ENTROPY_CLIP) are clipped to zero and the
+    vector is renormalized; anything worse is rejected.
     """
     q = np.asarray(p, dtype=float)
-    if np.any(q < -tol):
+    if np.any(q < -ENTROPY_CLIP):
         raise ValueError("negative probability beyond tolerance")
     q = np.clip(q, 0.0, None)
     s = q.sum()
-    if not math.isfinite(s) or abs(s - 1.0) > max(tol, 1e-6):
+    if not math.isfinite(s) or abs(s - 1.0) > 1e-6:
         raise ValueError("probabilities do not sum to 1")
     q = q / s
     nz = q[q > 0]
-    h = float(-(nz * np.log(nz)).sum())
-    if base is not None:
-        h /= math.log(base)
-    return h
+    return float(-(nz * np.log(nz)).sum())

@@ -42,21 +42,16 @@ def _check_metric(d: np.ndarray) -> None:
 
 @dataclass
 class Observable:
-    """Ordered effects summing to the unit effect, with opaque labels and an
-    optional outcome metric (discrete metric by default where needed)."""
+    """Ordered effects summing to the unit effect, with an optional outcome
+    metric (discrete metric by default where needed)."""
 
     theory: Theory
     effects: list
-    labels: list | None = None
     metric: np.ndarray | None = None
     atol: float = 1e-10  # widen for effects recovered from numerical solvers
 
     def __post_init__(self):
         self.effects = [np.asarray(e, float) for e in self.effects]
-        if self.labels is None:
-            self.labels = [str(i) for i in range(len(self.effects))]
-        if len(self.labels) != len(self.effects):
-            raise ValueError("labels/effects length mismatch")
         total = np.sum(self.effects, axis=0)
         if np.max(np.abs(total - self.theory.unit_effect)) > self.atol:
             raise ValueError("effects do not sum to the unit effect")
@@ -84,17 +79,10 @@ class JointObservable:
 
     theory: Theory
     grid: list  # list of rows, each a list of effect vectors
-    labels_a: list | None = None
-    labels_b: list | None = None
     atol: float = 1e-8
 
     def __post_init__(self):
         self.grid = [[np.asarray(e, float) for e in row] for row in self.grid]
-        na, nb = len(self.grid), len(self.grid[0])
-        if self.labels_a is None:
-            self.labels_a = [str(i) for i in range(na)]
-        if self.labels_b is None:
-            self.labels_b = [str(j) for j in range(nb)]
         total = np.sum([e for row in self.grid for e in row], axis=0)
         if np.max(np.abs(total - self.theory.unit_effect)) > self.atol:
             raise ValueError("joint grid does not sum to the unit effect")
@@ -111,8 +99,8 @@ def marginals(j: JointObservable, atol: float = 1e-8) -> tuple[Observable, Obser
     first = [np.sum([j.grid[a][b] for b in range(nb)], axis=0) for a in range(na)]
     second = [np.sum([j.grid[a][b] for a in range(na)], axis=0) for b in range(nb)]
     return (
-        Observable(j.theory, first, labels=list(j.labels_a), atol=atol),
-        Observable(j.theory, second, labels=list(j.labels_b), atol=atol),
+        Observable(j.theory, first, atol=atol),
+        Observable(j.theory, second, atol=atol),
     )
 
 
@@ -143,7 +131,7 @@ def fuzz(f: Observable, lam: float) -> Observable:
         raise ValueError("mixing weight must lie in [0, 1]")
     u = f.theory.unit_effect
     effs = [lam * e + 0.5 * (1.0 - lam) * u for e in f.effects]
-    return Observable(f.theory, effs, labels=list(f.labels), metric=f.metric)
+    return Observable(f.theory, effs, metric=f.metric)
 
 
 def ideal_observables(t: Theory) -> list[Observable]:

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +97,39 @@ def test_log_env_rejected(tmp_path, monkeypatch):
 def test_bad_t_range_rejected():
     with pytest.raises(ValueError):
         RunConfig(command="incompat-scan", t_min=0.5)
+
+
+@pytest.mark.parametrize(
+    "payload, argv, field",
+    [
+        ({"grid": 0}, ["incompat-scan"], "grid"),
+        ({"trials": 0}, ["mur-properties"], "trials"),
+        ({"granularity": 0}, ["mixing-sweep"], "granularity"),
+        ({}, ["mur-properties", "--eps", "0"], "eps"),
+        ({}, ["mur-properties", "--eps", "0.5", "1.5"], "eps"),
+        ({"gird": 96}, ["incompat-scan"], "gird"),
+    ],
+)
+def test_bad_config_rejected(tmp_path, payload, argv, field):
+    with pytest.raises(ValueError, match=field):
+        main([*argv, "--config", _cfg(tmp_path, payload), "--jobs", "1"])
+
+
+BENCH_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "cli_config.json"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["incompat-scan"],
+         "140ab45b0d9c510e8bff8fd5db50c773848634d2ada860c47bb88510f0705198"),
+        (["mur-properties", "--seed", "0"],
+         "7c2ce0a05ab26ba3c37f9603f05cacb299eb0e9fe93ccdfdf72e228278da5c25"),
+    ],
+)
+def test_bench_cli_config_output_pinned(tmp_path, argv, digest):
+    data = run(tmp_path, "out", *argv, "--config", str(BENCH_CONFIG), "--jobs", "1")
+    got = hashlib.sha256(data).hexdigest()
+    assert got == digest, (
+        f"{argv[0]} output changed ({digest} -> {got}); if the change is "
+        "intended, update the pin and record both hashes in CHANGES.md")

@@ -227,11 +227,8 @@ def test_disc_regression_degree(pair):
 
 
 def test_vectorized_row_builders_match_loops():
-    from gpt_lab.compatibility import (
-        _disc_cut_rows,
-        _finite_nonneg_rows,
-        _joint_equalities,
-    )
+    from gpt_lab.compatibility import _cone_rows, _joint_equalities
+    from gpt_lab.gpt_core import DISC_SAMPLES
 
     def cell(c, dim, nvars, vec):
         row = np.zeros(nvars)
@@ -241,16 +238,17 @@ def test_vectorized_row_builders_match_loops():
     for t in (make_polygon(5), make_simplex(3)):
         pts = t.pure_states
         want = [cell(c, t.dim, 4 * t.dim, -p) for c in range(4) for p in pts]
-        assert np.array_equal(_finite_nonneg_rows(t, 4, t.dim)[0], np.array(want))
+        for shrink in (False, True):  # a finite theory's cone is exact
+            assert np.array_equal(_cone_rows(t, 4, shrink), np.array(want))
 
     for shrink in (False, True):
-        s = math.cos(math.pi / 8) if shrink else 1.0
+        s = math.cos(math.pi / DISC_SAMPLES) if shrink else 1.0
         want = [
             cell(c, 3, 12, [-math.cos(th), -math.sin(th), -s])
             for c in range(4)
-            for th in (2 * math.pi * j / 8 for j in range(8))
+            for th in (2 * math.pi * j / DISC_SAMPLES for j in range(DISC_SAMPLES))
         ]
-        assert np.array_equal(_disc_cut_rows(4, 8, shrink)[0], np.array(want))
+        assert np.array_equal(_cone_rows(make_disc(), 4, shrink), np.array(want))
 
     t = make_polygon(5)
     g = [o for o in ideal_observables(t) if len(o) == 2][0]

@@ -146,7 +146,8 @@ def _hull_lp_is_state(t, v):
         n_vars=k,
         a_eq=np.vstack([pts.T, np.ones((1, k))]),
         b_eq=np.concatenate([v, [1.0]]),
-        lower_bounds=np.zeros(k),
+        a_ub=-np.eye(k),
+        b_ub=np.zeros(k),
     )
     return solve_lp(p).status == "feasible"
 

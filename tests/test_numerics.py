@@ -9,14 +9,25 @@ from hypothesis import strategies as st
 from gpt_lab.numerics import LinearProgram, bisect, shannon_entropy, solve_lp
 
 
+def _bounded(n, lb, a_ub=None, b_ub=None, **kwargs):
+    """LinearProgram over n variables with x >= lb written as the rows
+    -x <= -lb; entries of lb at -inf leave their variable free."""
+    lb = np.broadcast_to(np.asarray(lb, float), (n,))
+    bounded = np.isfinite(lb)
+    rows, rhs = -np.eye(n)[bounded], -lb[bounded]
+    if a_ub is not None:
+        rows, rhs = np.vstack([a_ub, rows]), np.concatenate([b_ub, rhs])
+    return LinearProgram(n, a_ub=rows, b_ub=rhs, **kwargs)
+
+
 def test_lp_optimal_value():
     # min -x - 2y  s.t. x + y <= 4, x <= 3, x,y >= 0
-    p = LinearProgram(
+    p = _bounded(
         2,
+        0.0,
         objective=np.array([-1.0, -2.0]),
         a_ub=np.array([[1.0, 1.0], [1.0, 0.0]]),
         b_ub=np.array([4.0, 3.0]),
-        lower_bounds=np.zeros(2),
     )
     r = solve_lp(p)
     assert r.status == "optimal"
@@ -40,28 +51,28 @@ def test_lp_equality_and_free_vars():
 
 
 def test_lp_infeasible():
-    p = LinearProgram(
+    p = _bounded(
         1,
+        0.0,
         a_eq=np.array([[1.0]]),
         b_eq=np.array([2.0]),
         a_ub=np.array([[1.0]]),
         b_ub=np.array([1.0]),
-        lower_bounds=np.zeros(1),
     )
     assert solve_lp(p).status == "infeasible"
 
 
 def test_lp_unbounded():
-    p = LinearProgram(1, objective=np.array([-1.0]), lower_bounds=np.zeros(1))
+    p = _bounded(1, 0.0, objective=np.array([-1.0]))
     assert solve_lp(p).status == "unbounded"
 
 
 def test_lp_feasibility_only():
-    p = LinearProgram(
+    p = _bounded(
         2,
+        0.0,
         a_eq=np.array([[1.0, 1.0]]),
         b_eq=np.array([1.0]),
-        lower_bounds=np.zeros(2),
     )
     r = solve_lp(p)
     assert r.status == "feasible"
@@ -69,10 +80,10 @@ def test_lp_feasibility_only():
 
 
 def test_lp_shifted_lower_bounds():
-    p = LinearProgram(
+    p = _bounded(
         1,
+        np.array([2.5]),
         objective=np.array([1.0]),
-        lower_bounds=np.array([2.5]),
     )
     r = solve_lp(p)
     assert r.status == "optimal"
@@ -82,8 +93,6 @@ def test_lp_shifted_lower_bounds():
 def test_lp_validation_errors():
     with pytest.raises(ValueError):
         LinearProgram(2, a_eq=np.ones((1, 3)), b_eq=np.ones(1)).validate()
-    with pytest.raises(ValueError):
-        solve_lp(LinearProgram(1), tol_lp=0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,13 +103,13 @@ def test_lp_random_solutions_are_feasible(seed):
     a = rng.normal(size=(m, n))
     x0 = rng.uniform(0.2, 1.0, size=n)
     b = a @ x0  # guarantees feasibility
-    p = LinearProgram(
+    p = _bounded(
         int(n),
+        0.0,
         # positive costs keep the problem bounded below on x >= 0
         objective=rng.uniform(0.1, 1.0, size=n),
         a_ub=a,
         b_ub=b,
-        lower_bounds=np.zeros(n),
     )
     r = solve_lp(p)
     assert r.status == "optimal"
@@ -114,8 +123,8 @@ def test_lp_row_scaling_keeps_verdict(seed, scale):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(3, 3))
     b = rng.normal(size=3)
-    base = LinearProgram(3, a_eq=a, b_eq=b, lower_bounds=np.zeros(3))
-    scaled = LinearProgram(3, a_eq=scale * a, b_eq=scale * b, lower_bounds=np.zeros(3))
+    base = _bounded(3, 0.0, a_eq=a, b_eq=b)
+    scaled = _bounded(3, 0.0, a_eq=scale * a, b_eq=scale * b)
     assert solve_lp(base).status == solve_lp(scaled).status
 
 
@@ -132,7 +141,7 @@ def test_bisect_requires_sign_change():
 def test_entropy_basics():
     assert shannon_entropy([0.5, 0.5]) == pytest.approx(math.log(2.0))
     assert shannon_entropy([1.0, 0.0]) == 0.0
-    assert shannon_entropy([0.25] * 4, base=2) == pytest.approx(2.0)
+    assert shannon_entropy([0.25] * 4) == pytest.approx(math.log(4.0))
 
 
 def test_entropy_rejects_bad_input():
@@ -165,11 +174,10 @@ def _highs_status(p):
     hypothesis example when HiGHS gives no verdict (iteration limit or
     numerical difficulties)."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    lb = np.full(p.n_vars, -np.inf) if p.lower_bounds is None else p.lower_bounds
     res = linprog(
         np.zeros(p.n_vars) if p.objective is None else p.objective,
         A_ub=p.a_ub, b_ub=p.b_ub, A_eq=p.a_eq, b_eq=p.b_eq,
-        bounds=[(lo if np.isfinite(lo) else None, None) for lo in lb],
+        bounds=(None, None),
         method="highs",
         options={"presolve": False},  # presolve misreports some unbounded LPs
     )
@@ -182,8 +190,9 @@ def _highs_status(p):
 
 @st.composite
 def _small_lps(draw):
-    """A random LP with 2-5 variables (some free, some shifted lower bounds),
-    0-2 equalities and 1-5 inequalities, built to have status ``kind``."""
+    """A random LP with 2-5 variables (some free, some bounded below by
+    ``_bounded`` rows), 0-2 equalities and 1-5 further inequalities, built
+    to have status ``kind``."""
     kind = draw(st.sampled_from(_STATUSES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, m_eq, m_ub = int(rng.integers(2, 6)), int(rng.integers(0, 3)), int(rng.integers(1, 6))
@@ -205,14 +214,14 @@ def _small_lps(draw):
         r = rng.normal(size=n)
         a_ub = np.vstack([a_ub, r, -r])
         b_ub = np.concatenate([b_ub, [r @ x0, -(r @ x0) - 1.0]])
-    return kind, LinearProgram(
+    return kind, _bounded(
         n,
+        lb,
         objective=None if kind == "feasible" else c,
         a_eq=a_eq if m_eq else None,
         b_eq=a_eq @ x0 if m_eq else None,
         a_ub=a_ub,
         b_ub=b_ub,
-        lower_bounds=lb,
     )
 
 
@@ -232,14 +241,14 @@ def test_lp_matches_highs_on_small_lps(case):
 @given(st.floats(0.3, 1.0), st.floats(0.0, 2 * math.pi),
        st.floats(0.3, 1.0), st.floats(0.0, 2 * math.pi))
 def test_lp_matches_highs_on_disc_cut_lps(ta, pa, tb, pb):
-    from gpt_lab.compatibility import _disc_cut_rows, _joint_equalities, disc_axis_observable
+    from gpt_lab.compatibility import _cone_rows, _joint_equalities, disc_axis_observable
     from gpt_lab.gpt_core import make_disc
 
     t = make_disc()
     f, g = disc_axis_observable(t, ta, pa), disc_axis_observable(t, tb, pb)
     a_eq, b_eq = _joint_equalities(t, f, g)
-    a_ub, b_ub = _disc_cut_rows(4, 64, shrink=False)
-    p = LinearProgram(12, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+    a_ub = _cone_rows(t, 4)
+    p = LinearProgram(12, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=np.zeros(len(a_ub)))
     assert solve_lp(p).status == _highs_status(p)[0]
 
 
@@ -247,7 +256,7 @@ def test_highs_oracle_rejects_examples_it_cannot_decide(monkeypatch):
     optimize = pytest.importorskip("scipy.optimize")
     monkeypatch.setattr(optimize, "linprog",
                         lambda *args, **kwargs: SimpleNamespace(status=4, fun=None))
-    p = LinearProgram(2, a_ub=np.ones((1, 2)), b_ub=np.ones(1), lower_bounds=np.zeros(2))
+    p = _bounded(2, 0.0, a_ub=np.ones((1, 2)), b_ub=np.ones(1))
 
     @settings(max_examples=5, database=None)
     @given(st.just(p))

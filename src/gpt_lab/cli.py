@@ -33,7 +33,7 @@ from .observables import Observable, ideal_observables, marginals
 from .uncertainty import (
     entropic_pur_bound,
     error_bar_width,
-    gamma_closed_form,
+    landau_pollak_gamma,
     max_statistics_sum,
     theorem_witness_state,
     werner_measure,
@@ -129,17 +129,10 @@ def _pmap(fn, items: list, jobs: int) -> list:
 
 def _gamma_rows_for_n(n: int) -> list:
     t = make_polygon(n)
-    ext = t.extreme_effects()
-    u = t.unit_effect
-    g0 = Observable(t, [ext[0], u - ext[0]])
     rows = []
     for i in range(1, (n - 1) // 2 + 1):
         theta = 2.0 * math.pi * i / n
-        fi = Observable(t, [ext[i], u - ext[i]])
-        numeric = max_statistics_sum(fi, g0)
-        closed = gamma_closed_form(n, theta)
-        if abs(numeric - closed) > 1e-9:
-            raise AssertionError(f"gamma table mismatch at n={n}, i={i}")
+        numeric, closed = landau_pollak_gamma(t, i)
         # closed forms can exceed 2 by an ulp; the bound caps at gamma = 2
         rows.append(
             (n, i, theta, numeric, closed, entropic_pur_bound(min(closed, 2.0)))
@@ -333,8 +326,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = _build_parser().parse_args(argv)
-    config = RunConfig.load(args.command, args)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = RunConfig.load(args.command, args)
+    except ValueError as exc:
+        parser.error(str(exc))
     log.info("running %s with %r", args.command, config)
     text = COMMANDS[args.command](config)
     if config.out:

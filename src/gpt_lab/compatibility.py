@@ -240,15 +240,6 @@ def s0_compatible(f: Observable, g: Observable, s0: StateSubset):
     return ok, None
 
 
-def qubit_pair_compatible_closed_form(a, b) -> bool:
-    """Unbiased qubit pair A^a, A^b: compatible iff |a+b| + |a-b| <= 2."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    if np.linalg.norm(a) > 1 + 1e-12 or np.linalg.norm(b) > 1 + 1e-12:
-        raise ValueError("Bloch vectors must lie in the unit ball")
-    return np.linalg.norm(a + b) + np.linalg.norm(a - b) <= 2.0 + 1e-12
-
-
 def busch_unbiased_compatible(w1: float, m1, w2: float, m2) -> bool:
     """Joint measurability of qubit effects (1/2)((1 + w_i) 1 + m_i.sigma).
 
@@ -340,17 +331,6 @@ def xi_bounds(t: float, phi0: float, psi0: float):
     xi2_min = float(_xi_min(t, math.pi / 2 - phi0, psi0))
     xi2_max = _xi_max(t, math.pi / 2 - phi0, psi0)
     return xi1_min, xi1_max, xi2_min, xi2_max
-
-
-def z_function(t: float, phi0: float, psi0: float) -> float:
-    """Z = (1 + sin(xi1+xi2))(1 + w1 + w2) - (1 - sin(xi1+xi2)) w1 w2 at
-    the extremal pair (xi1_min, xi2_min).  Z <= 0 certifies that the
-    extremal surrogate pair is compatible."""
-    xi1, _, xi2, _ = xi_bounds(t, phi0, psi0)
-    w1, _ = _w_and_C(t, phi0, psi0, xi1)
-    w2, _ = _w_and_C(t, math.pi / 2 - phi0, psi0, xi2)
-    s = math.sin(xi1 + xi2)
-    return float((1 + s) * (1 + w1 + w2) - (1 - s) * w1 * w2)
 
 
 # -- qubit-disc observables ---------------------------------------------
@@ -625,12 +605,3 @@ def sample_feasible_joints(f: Observable, g: Observable, count: int, seed: int =
         x = lam * vertices[i] + (1.0 - lam) * vertices[j]
         out.append(_grid_from_solution(theory, x, na, nb))
     return out[:count]
-
-
-def witness_bound_check(fs: list, s0: StateSubset) -> dict:
-    """dim aff(S0) + 1 <= sum of outcome counts - n + 1 whenever the tuple
-    is S0-incompatible.  Returns the numbers and the verdict."""
-    n = len(fs)
-    bound = sum(len(f.effects) for f in fs) - n + 1
-    lhs = s0.affine_dim + 1
-    return {"bound": bound, "dim_aff_plus_1": lhs, "holds": lhs <= bound}

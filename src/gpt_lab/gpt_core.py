@@ -8,7 +8,6 @@ probability e . w on a state w.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +36,10 @@ class Theory:
     pure_states: np.ndarray | None = field(default=None, compare=False)
     n: int | None = None  # outcome count / polygon sides
     representation: str = "standard"
+    # read-only rows of extreme_effects(); None for the disc
+    _extreme: np.ndarray | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "unit_effect", np.asarray(self.unit_effect, float))
@@ -45,6 +48,10 @@ class Theory:
             vals = self.pure_states @ self.unit_effect
             if np.max(np.abs(vals - 1.0)) > 1e-12:
                 raise ValueError("unit effect is not 1 on every pure state")
+        if self.kind != "Disc":
+            ext = self._extreme_rows()
+            ext.setflags(write=False)
+            object.__setattr__(self, "_extreme", ext)
 
     # -- basic geometry -------------------------------------------------
 
@@ -70,48 +77,31 @@ class Theory:
         return 0.5 * np.array([math.cos(theta), math.sin(theta), 1.0])
 
     def extreme_effects(self) -> np.ndarray:
-        """Indecomposable pure effects as rows (finite theories only)."""
+        """Indecomposable pure effects as read-only rows (finite theories
+        only)."""
+        if self._extreme is None:
+            raise ValueError("no finite extreme-effect list for this theory")
+        return self._extreme
+
+    def _extreme_rows(self) -> np.ndarray:
         if self.kind == "Simplex":
             return np.eye(self.dim)
-        if self.kind == "Polygon":
-            n = self.n
-            r = polygon_radius(n)
-            out = np.zeros((n, 3))
-            for i in range(n):
-                if n % 2 == 0:
-                    th = (2 * i - 1) * math.pi / n
-                    e = 0.5 * np.array([r * math.cos(th), r * math.sin(th), 1.0])
-                    if self.representation == "rescaled":
-                        e = np.array([e[0] / r, e[1] / r, e[2]])
-                else:
-                    th = 2 * i * math.pi / n
-                    e = (1.0 / (1.0 + r * r)) * np.array(
-                        [r * math.cos(th), r * math.sin(th), 1.0]
-                    )
-                out[i] = e
-            return out
-        raise ValueError("no finite extreme-effect list for this theory")
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "n": self.n,
-            "representation": self.representation,
-            "dim": self.dim,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(s: str) -> "Theory":
-        d = json.loads(s)
-        kind = d["kind"]
-        if kind == "Simplex":
-            return make_simplex(d["n"])
-        if kind == "Polygon":
-            return make_polygon(d["n"], d.get("representation", "standard"))
-        if kind == "Disc":
-            return make_disc()
-        raise ValueError(f"unknown theory kind {kind!r}")
+        n = self.n
+        r = polygon_radius(n)
+        out = np.zeros((n, 3))
+        for i in range(n):
+            if n % 2 == 0:
+                th = (2 * i - 1) * math.pi / n
+                e = 0.5 * np.array([r * math.cos(th), r * math.sin(th), 1.0])
+                if self.representation == "rescaled":
+                    e = np.array([e[0] / r, e[1] / r, e[2]])
+            else:
+                th = 2 * i * math.pi / n
+                e = (1.0 / (1.0 + r * r)) * np.array(
+                    [r * math.cos(th), r * math.sin(th), 1.0]
+                )
+            out[i] = e
+        return out
 
 
 @dataclass
@@ -237,35 +227,3 @@ def eigenstate_of(t: Theory, e) -> np.ndarray:
     if not is_state(t, w, tol=1e-7):
         raise ValueError("normalized effect is not a state in this representation")
     return w
-
-
-# -- representation maps ------------------------------------------------
-
-
-def rescale_matrix(n: int) -> np.ndarray:
-    r = polygon_radius(n)
-    return np.diag([r, r, 1.0])
-
-
-def to_rescaled(t: Theory) -> Theory:
-    if t.kind != "Polygon" or t.n % 2 == 1:
-        raise ValueError("only even polygons have a rescaled form")
-    if t.representation == "rescaled":
-        return t
-    return make_polygon(t.n, "rescaled")
-
-
-def convert_state(v: np.ndarray, src: Theory, dst: Theory) -> np.ndarray:
-    if src.kind != "Polygon" or dst.kind != "Polygon" or src.n != dst.n:
-        raise ValueError("conversion only between representations of one polygon")
-    psi = rescale_matrix(src.n)
-    if src.representation == dst.representation:
-        return np.array(v, float)
-    if dst.representation == "rescaled":
-        return psi @ np.asarray(v, float)
-    return np.linalg.solve(psi, np.asarray(v, float))
-
-
-def convert_effect(e: np.ndarray, src: Theory, dst: Theory) -> np.ndarray:
-    # psi is diagonal, so effects map by psi^{-T} = psi^{-1}: the state map backwards
-    return convert_state(e, dst, src)

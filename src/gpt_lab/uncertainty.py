@@ -1,12 +1,12 @@
 """Preparation and measurement uncertainty measures: overall width,
 localization error, error bar width, Werner and l-infinity distances,
-entropic noise, Landau-Pollak bounds and the majorization vector, plus the
-witness states tying preparation bounds to measurement bounds."""
+entropic noise and Landau-Pollak bounds, plus the witness states tying
+preparation bounds to measurement bounds."""
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -265,105 +265,29 @@ def gamma_closed_form(n: int | None, theta: float) -> float:
     return max(front * (1.0 + c), tail)
 
 
-def landau_pollak_gamma(theory: Theory, i) -> float:
+def landau_pollak_gamma(theory: Theory, i) -> tuple:
     """Landau-Pollak bound gamma for the pair (F_i, G_0) in a polygon
-    theory, or for the disc pair at separation angle ``i``.
+    theory, as (numeric pure-state maximum, table closed form).
 
-    Computes both the numeric pure-state maximum and the table closed
-    form and asserts they agree to 1e-9.
+    Raises AssertionError unless the two agree to 1e-9.
     """
-    if theory.kind == "Disc":
-        theta = float(i)
-        u = theory.unit_effect
-        e1 = theory.disc_extreme_effect(theta)
-        e0 = theory.disc_extreme_effect(0.0)
-        f = Observable(theory, [e1, u - e1])
-        g = Observable(theory, [e0, u - e0])
-        numeric = max_statistics_sum(f, g)
-        closed = gamma_closed_form(None, theta)
-    elif theory.kind == "Polygon":
-        n = theory.n
-        i = int(i)
-        if not (0 < i < n / 2):
-            raise ValueError("index must satisfy 0 < i < n/2")
-        ext = theory.extreme_effects()
-        u = theory.unit_effect
-        f = Observable(theory, [ext[i], u - ext[i]])
-        g = Observable(theory, [ext[0], u - ext[0]])
-        numeric = max_statistics_sum(f, g)
-        closed = gamma_closed_form(n, 2.0 * math.pi * i / n)
-    else:
-        raise ValueError("Landau-Pollak closed forms exist for polygons and disc")
+    if theory.kind != "Polygon":
+        raise ValueError("the Landau-Pollak table covers polygon theories")
+    n = theory.n
+    i = operator.index(i)
+    if not (0 < i < n / 2):
+        raise ValueError("index must satisfy 0 < i < n/2")
+    ext = theory.extreme_effects()
+    u = theory.unit_effect
+    f = Observable(theory, [ext[i], u - ext[i]])
+    g = Observable(theory, [ext[0], u - ext[0]])
+    numeric = max_statistics_sum(f, g)
+    closed = gamma_closed_form(n, 2.0 * math.pi * i / n)
     if abs(numeric - closed) > 1e-9:
         raise AssertionError(
             f"closed form {closed!r} disagrees with numeric {numeric!r}"
         )
-    return closed
-
-
-# -- majorization -------------------------------------------------------
-
-
-def _products_at(f: Observable, g: Observable, omega) -> np.ndarray:
-    t = f.theory
-    pf = np.array([t.pair(e, omega) for e in f.effects])
-    pg = np.array([t.pair(e, omega) for e in g.effects])
-    return np.outer(pf, pg).ravel()
-
-
-def _topk_sum_max(f: Observable, g: Observable, k: int) -> float:
-    """max over states of the sum of the k largest outcome products."""
-    t = f.theory
-
-    def score(omega):
-        prods = np.sort(_products_at(f, g, omega))[::-1]
-        return float(prods[:k].sum())
-
-    best = 0.0
-    if t.kind == "Disc":
-        m = 256
-        thetas = np.linspace(0.0, 2 * math.pi, m, endpoint=False)
-        vals = [score(t.disc_state(th)) for th in thetas]
-        j = int(np.argmax(vals))
-        lo = thetas[j] - 2 * math.pi / m
-        hi = thetas[j] + 2 * math.pi / m
-        best = vals[j]
-        for _ in range(8):  # iterative zoom to ~1e-12 angular resolution
-            grid = np.linspace(lo, hi, 33)
-            gvals = [score(t.disc_state(th)) for th in grid]
-            jz = int(np.argmax(gvals))
-            best = max(best, gvals[jz])
-            span = grid[1] - grid[0]
-            lo, hi = grid[jz] - span, grid[jz] + span
-        return best
-    verts = t.pure_states
-    for w in verts:
-        best = max(best, score(w))
-    # boundary edges: the score is piecewise quadratic along an edge
-    for a, b in itertools.combinations(range(len(verts)), 2):
-        for s in np.linspace(0.0, 1.0, 64):
-            best = max(best, score((1 - s) * verts[a] + s * verts[b]))
-    return best
-
-
-def majorization_vector(f: Observable, g: Observable) -> np.ndarray:
-    """The vector r with partial sums R_k = max over states of the top-k
-    outcome-product sum; binary pairs use the closed fast path
-    r = (R1, 1 - R1, 0, 0) and verify R1 <= gamma^2 / 4."""
-    na, nb = len(f.effects), len(g.effects)
-    if na * nb > 16:
-        raise ValueError("outcome grid too large; capped at 16 cells")
-    if na == 2 and nb == 2:
-        r1 = _topk_sum_max(f, g, 1)
-        gamma = max_statistics_sum(f, g)
-        if r1 > gamma * gamma / 4.0 + 1e-9:
-            raise AssertionError("R1 exceeds gamma^2/4")
-        return np.array([r1, 1.0 - r1, 0.0, 0.0])
-    rs = [_topk_sum_max(f, g, k) for k in range(1, na * nb + 1)]
-    rs = np.maximum.accumulate(np.clip(rs, 0.0, 1.0))
-    rs[-1] = 1.0
-    out = np.diff(np.concatenate([[0.0], rs]))
-    return np.clip(out, 0.0, 1.0)
+    return numeric, closed
 
 
 # -- witness states -----------------------------------------------------

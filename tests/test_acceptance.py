@@ -19,7 +19,6 @@ from gpt_lab.compatibility import (
     estimate_t0,
     incompatibility_dimension_qubit,
     mutually_unbiased_pair,
-    qubit_pair_compatible_closed_form,
     xi_bounds,
 )
 from gpt_lab.gpt_core import make_disc, make_polygon
@@ -45,8 +44,8 @@ def test_criterion_1_mu_compatibility_boundary():
         if abs(s - SQ2INV) < 1e-4:
             continue
         want = s <= SQ2INV
-        assert qubit_pair_compatible_closed_form(
-            [s, 0, 0], [0, s, 0]) == want
+        assert busch_unbiased_compatible(
+            0.0, [s, 0, 0], 0.0, [0, s, 0]) == want
         assert are_compatible(*mutually_unbiased_pair(t, s))[0] == want
     assert time.monotonic() - start < 10.0
     report("criterion 1 (MU compatibility boundary)")

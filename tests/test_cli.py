@@ -110,9 +110,12 @@ def test_bad_t_range_rejected():
         ({"gird": 96}, ["incompat-scan"], "gird"),
     ],
 )
-def test_bad_config_rejected(tmp_path, payload, argv, field):
-    with pytest.raises(ValueError, match=field):
+def test_bad_config_rejected(tmp_path, capsys, payload, argv, field):
+    # like a bad flag: one usage line and exit code 2, no traceback
+    with pytest.raises(SystemExit) as exc:
         main([*argv, "--config", _cfg(tmp_path, payload), "--jobs", "1"])
+    assert exc.value.code == 2
+    assert field in capsys.readouterr().err
 
 
 BENCH_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "cli_config.json"

@@ -14,12 +14,9 @@ from gpt_lab.compatibility import (
     estimate_t0,
     exists_incompatible_segment,
     mutually_unbiased_pair,
-    qubit_pair_compatible_closed_form,
     s0_compatible,
     sample_feasible_joints,
-    witness_bound_check,
     xi_bounds,
-    z_function,
 )
 from gpt_lab.gpt_core import is_effect, make_disc, make_polygon, make_simplex
 from gpt_lab.observables import Observable, fuzz, ideal_observables, marginals
@@ -34,13 +31,13 @@ def test_state_subset_affine_dim():
 
 
 def test_closed_form_mu_boundary():
-    assert qubit_pair_compatible_closed_form([0.7, 0, 0], [0, 0.7, 0])
-    assert not qubit_pair_compatible_closed_form([0.72, 0, 0], [0, 0.72, 0])
+    assert busch_unbiased_compatible(0.0, [0.7, 0, 0], 0.0, [0, 0.7, 0])
+    assert not busch_unbiased_compatible(0.0, [0.72, 0, 0], 0.0, [0, 0.72, 0])
 
 
 def test_closed_form_parallel_always_compatible():
-    assert qubit_pair_compatible_closed_form([1, 0, 0], [1, 0, 0])
-    assert qubit_pair_compatible_closed_form([1, 0, 0], [-1, 0, 0])
+    assert busch_unbiased_compatible(0.0, [1, 0, 0], 0.0, [1, 0, 0])
+    assert busch_unbiased_compatible(0.0, [1, 0, 0], 0.0, [-1, 0, 0])
 
 
 def test_lp_agrees_with_closed_form_on_mu_pairs():
@@ -86,7 +83,9 @@ def test_busch_matches_closed_form_on_unbiased_pairs(seed):
     pa, pb = rng.uniform(0.0, 2 * math.pi, size=2)
     a = ta * np.array([math.cos(pa), math.sin(pa), 0.0])
     b = tb * np.array([math.cos(pb), math.sin(pb), 0.0])
-    assert busch_unbiased_compatible(0.0, a, 0.0, b) == qubit_pair_compatible_closed_form(a, b)
+    # unbiased pair A^a, A^b: compatible iff |a+b| + |a-b| <= 2
+    want = np.linalg.norm(a + b) + np.linalg.norm(a - b) <= 2.0 + 1e-12
+    assert busch_unbiased_compatible(0.0, a, 0.0, b) == want
 
 
 def test_xi_bounds_satisfy_defining_identities():
@@ -108,12 +107,6 @@ def test_xi_bounds_satisfy_defining_identities():
         w, c = _w_and_C(t, pp, ss, _xi_min(t, pp, ss))
         assert w.shape == (8, 8)
         assert np.max(np.abs(1.0 - w - c)) < 1e-10
-
-
-def test_z_function_sign_tracks_t():
-    # weak pairs have compatible extremal surrogates, strong ones do not
-    assert z_function(0.72, 0.8, 0.8) <= 0.0
-    assert z_function(1.0, 0.8, 0.8) > 0.0
 
 
 def test_s0_compatibility_on_segment():
@@ -170,16 +163,6 @@ def test_sample_feasible_joints_deterministic():
         for ra, rb in zip(ja.grid, jb.grid):
             for ca, cb in zip(ra, rb):
                 assert np.array_equal(ca, cb)
-
-
-def test_witness_bound():
-    t = make_disc()
-    f, g = mutually_unbiased_pair(t, 1.0)
-    seg = StateSubset([t.disc_state(0.0), t.disc_state(1.0)])
-    rep = witness_bound_check([f, g], seg)
-    assert rep["bound"] == 3  # 2 + 2 - 2 + 1
-    assert rep["dim_aff_plus_1"] == 2
-    assert rep["holds"]
 
 
 # Disc pairs (t_a, angle_a, t_b, angle_b) on which an earlier simplex pivoted

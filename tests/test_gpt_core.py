@@ -6,9 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpt_lab.gpt_core import (
-    Theory,
-    convert_effect,
-    convert_state,
     eigenstate_of,
     is_effect,
     is_state,
@@ -16,7 +13,6 @@ from gpt_lab.gpt_core import (
     make_polygon,
     make_simplex,
     polygon_radius,
-    to_rescaled,
 )
 from gpt_lab.numerics import LinearProgram, solve_lp
 
@@ -79,15 +75,6 @@ def test_odd_effects_hit_unit_on_own_vertex():
         assert t.pair(ext[i], t.pure_states[i]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_json_round_trip():
-    for t in (make_simplex(3), make_polygon(6, "rescaled"), make_disc()):
-        t2 = Theory.from_json(t.to_json())
-        assert t2.kind == t.kind
-        assert t2.n == t.n
-        assert t2.representation == t.representation
-        assert t2 == t and hash(t2) == hash(t)
-
-
 def test_theory_equality_and_hash():
     a, b = make_polygon(6), make_polygon(6)
     assert a is not b and a == b and hash(a) == hash(b)
@@ -98,11 +85,25 @@ def test_theory_equality_and_hash():
     assert len({a, b, make_polygon(7), make_disc(), make_disc()}) == 3
 
 
+def test_extreme_effects_computed_once_and_read_only():
+    for t in (make_simplex(3), make_polygon(5), make_polygon(6, "rescaled")):
+        ext = t.extreme_effects()
+        assert t.extreme_effects() is ext
+        with pytest.raises(ValueError):
+            ext[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        make_disc().extreme_effects()
+    # equality and hashing ignore the cached rows
+    a, b = make_polygon(6), make_polygon(6)
+    object.__setattr__(b, "_extreme", np.zeros((6, 3)))
+    assert a == b and hash(a) == hash(b)
+
+
 def test_eigenstate_requires_self_dual_even_polygon():
     t = make_polygon(6)
     with pytest.raises(ValueError):
         eigenstate_of(t, t.extreme_effects()[0])
-    tr = to_rescaled(t)
+    tr = make_polygon(6, "rescaled")
     w = eigenstate_of(tr, tr.extreme_effects()[0])
     assert is_state(tr, w)
 
@@ -116,16 +117,15 @@ def test_eigenstate_simplex():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 1000))
 def test_rescaled_representation_preserves_statistics(half_n, seed):
-    # mixed state x random effect: <e, w> must not depend on representation
+    # one mixture of the pure states, one extreme effect: <e, w> must not
+    # depend on the representation
     n = 2 * half_n + 2
-    t = make_polygon(n)
-    tr = to_rescaled(t)
+    t, tr = make_polygon(n), make_polygon(n, "rescaled")
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(n))
-    w = probs @ t.pure_states
-    e = t.extreme_effects()[rng.integers(0, n)]
-    lhs = t.pair(e, w)
-    rhs = tr.pair(convert_effect(e, t, tr), convert_state(w, t, tr))
+    j = rng.integers(0, n)
+    lhs = t.pair(t.extreme_effects()[j], probs @ t.pure_states)
+    rhs = tr.pair(tr.extreme_effects()[j], probs @ tr.pure_states)
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +20,6 @@ from gpt_lab.uncertainty import (
     landau_pollak_gamma,
     linf_distance,
     localization_error,
-    majorization_vector,
     max_statistics_sum,
     overall_width,
     theorem_witness_state,
@@ -114,44 +112,16 @@ def test_gamma_closed_form_argument_checks():
 
 
 def test_landau_pollak_table_small():
-    assert landau_pollak_gamma(make_polygon(3), 1) == pytest.approx(2.0, abs=1e-12)
-    got = landau_pollak_gamma(make_polygon(6), 2)
+    numeric, closed = landau_pollak_gamma(make_polygon(3), 1)
+    assert numeric == pytest.approx(2.0, abs=1e-12)
+    assert closed == pytest.approx(2.0, abs=1e-12)
+    _, got = landau_pollak_gamma(make_polygon(6), 2)
     # numeric maximum is asserted inside; spot value from the even table
     r2 = 1.0 / math.cos(math.pi / 6)
     assert got == pytest.approx(max(1 + math.cos(math.pi / 3),
                                     1 + r2 * math.sin(math.pi / 3)), abs=1e-12)
-
-
-def test_majorization_mu_pair():
-    t = make_disc()
-    f, g = mutually_unbiased_pair(t, 1.0)
-    r = majorization_vector(f, g)
-    gamma = max_statistics_sum(f, g)
-    assert r[0] == pytest.approx(gamma * gamma / 4.0, abs=1e-9)
-    assert r.sum() == pytest.approx(1.0, abs=1e-9)
-    assert r[2] == pytest.approx(0.0, abs=1e-9) and r[3] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_majorization_self_pair_is_deterministic():
-    t, f = sharp_disc_pair()
-    r = majorization_vector(f, f)
-    assert r == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-9)
-
-
-def test_majorization_entropy_bound():
-    # H(r) lower-bounds the entropic sum on every state
-    t = make_disc()
-    f, g = mutually_unbiased_pair(t, 1.0)
-    r = majorization_vector(f, g)
-    from gpt_lab.numerics import shannon_entropy
-    from gpt_lab.observables import measure
-
-    hr = shannon_entropy(r)
-    rng = np.random.default_rng(0)
-    for theta in rng.uniform(0, 2 * math.pi, size=25):
-        w = t.disc_state(theta)
-        hsum = shannon_entropy(measure(f, w)) + shannon_entropy(measure(g, w))
-        assert hsum >= hr - 1e-9
+    with pytest.raises(TypeError):
+        landau_pollak_gamma(make_polygon(7), 1.9)  # an index, not an angle
 
 
 def test_witness_state_slacks():

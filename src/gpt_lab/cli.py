@@ -52,6 +52,20 @@ def _setup_logging() -> None:
     logging.basicConfig(level=levels[level], format="%(levelname)s %(message)s")
 
 
+def _is_number(v, types=(int, float)) -> bool:
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
+# annotation text -> (check, description) of the values RunConfig accepts
+_TYPE_CHECKS = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (lambda v: _is_number(v, int), "an integer"),
+    "float": (_is_number, "a number"),
+    "list": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+             "a list of numbers"),
+}
+
+
 @dataclass
 class RunConfig:
     """Parameters of one CLI run; JSON config merged with flag overrides."""
@@ -73,6 +87,13 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        # types first, since a JSON config can hold any value; f.type is
+        # the annotation's text, such as "int | None"
+        for f in fields(self):
+            v, want = getattr(self, f.name), f.type.removesuffix(" | None")
+            check, what = _TYPE_CHECKS[want]
+            if not (check(v) or v is None and want != f.type):
+                raise ValueError(f"{f.name} must be {what}, got {v!r}")
         if self.jobs <= 0:
             self.jobs = os.cpu_count() or 1
         if self.tol <= 0:
@@ -95,6 +116,8 @@ class RunConfig:
         if args.config:
             with open(args.config) as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("config file must hold a JSON object")
         for key in (
             "n", "t_min", "t_max", "eps", "tol", "seed", "jobs", "out",
         ):
@@ -330,7 +353,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = RunConfig.load(args.command, args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
     log.info("running %s with %r", args.command, config)
     text = COMMANDS[args.command](config)

@@ -2,11 +2,13 @@
 incompatibility, and the incompatibility dimension of the mutually unbiased
 qubit pair restricted to the equatorial disc.
 
-Effect-cone membership for the disc is second-order-cone, handled by
-supporting-cut generation (Kelley's cutting-plane loop): every cut is valid
-for the true cone, so an infeasible LP certifies incompatibility, and a
-solution whose cells violate the cone by at most 1e-7 is accepted as a
-joint.
+Every joint LP runs one supporting-cut loop (Kelley's cutting-plane
+loop) over the theory's ``cone_states`` rows: a cell m violates the effect
+cone by ``support(-m)``, and the state attaining it gives the next cut.
+Every cut is valid for the true cone, so an infeasible LP certifies
+incompatibility, and a solution whose cells violate the cone by at most
+1e-7 is accepted as a joint.  A finite theory's rows are its exact cone, so
+its loop ends at the first solve; the disc's second-order cone needs cuts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gpt_core import DISC_SAMPLES, Theory, make_disc
+from .gpt_core import Theory, make_disc
 from .numerics import LinearProgram, LpNumericalError, solve_lp, bisect
 from .observables import JointObservable, Observable, fuzz, marginals
 from .uncertainty import max_statistics_sum
@@ -34,26 +36,18 @@ SQ2INV = 1.0 / math.sqrt(2.0)
 @dataclass
 class StateSubset:
     generators: list
-    affine_dim: int = field(init=False)
 
     def __post_init__(self):
         self.generators = [np.asarray(g, float) for g in self.generators]
         if not self.generators:
             raise ValueError("empty state subset")
-        base = self.generators[0]
-        diffs = np.array([g - base for g in self.generators[1:]])
-        if len(diffs) == 0:
-            self.affine_dim = 0
-        else:
-            s = np.linalg.svd(diffs, compute_uv=False)
-            self.affine_dim = int(np.sum(s > 1e-9))
 
 
 @dataclass
 class DimensionReport:
     t: float
     chi_incomp: int | str
-    chi_comp: int | str
+    chi_comp: int
     witness: StateSubset | None = None
     t0_estimate: float | None = None
     details: dict = field(default_factory=dict)
@@ -75,21 +69,11 @@ class DimensionReport:
 
 
 def _cone_rows(theory: Theory, ncells: int, shrink: bool = False) -> np.ndarray:
-    """Rows of -m_c(omega) <= 0, right-hand side zero, for every cell c.
-
-    A finite theory's omega are its pure states, so the rows are its exact
-    effect cone.  The disc's are the ``DISC_SAMPLES`` boundary states: a
-    superset of the true cone, so infeasibility is a certificate.  With
-    ``shrink`` their z part is scaled by cos(pi/DISC_SAMPLES), a subset of
-    the true cone, so feasible points are exactly valid.
-    """
-    if theory.kind != "Disc":
-        return np.kron(np.eye(ncells), -theory.pure_states)
-    ths = [2 * math.pi * j / DISC_SAMPLES for j in range(DISC_SAMPLES)]
-    states = np.array([theory.disc_state(th) for th in ths])
-    if shrink:
-        states[:, 2] *= math.cos(math.pi / DISC_SAMPLES)
-    return np.kron(np.eye(ncells), -states)
+    """Rows of -m_c(omega) <= 0, right-hand side zero, for every cell c
+    and every omega in ``theory.cone_states(shrink)``: a superset of the
+    true cone, so infeasibility is a certificate, or with ``shrink`` a
+    subset, so feasible points are exactly valid."""
+    return np.kron(np.eye(ncells), -theory.cone_states(shrink))
 
 
 def _joint_equalities(theory, f: Observable, g: Observable, states=None):
@@ -146,15 +130,16 @@ def _joint_feasible(theory, f, g, states=None):
     the instance is left undecided.
 
     The cone rows are valid for the true effect cone, so infeasibility is
-    always a certificate.  A finite theory's rows are its exact cone, so
-    its first feasible solve is a joint.  The disc adds a supporting cut
-    for every cell that violates the cone beyond 1e-7 (Kelley's loop) and
-    accepts once none does.  An LP verdict that fails its certificate
-    check leaves the instance undecided.
+    always a certificate.  Every cell m that violates the cone beyond 1e-7,
+    by support(-m), gets a supporting cut at the state attaining it
+    (Kelley's loop), and the loop accepts once none does.  A finite
+    theory's rows are its exact cone, so its first feasible solve is a
+    joint.  An LP verdict that fails its certificate check leaves the
+    instance undecided.
     """
     na, nb = len(f.effects), len(g.effects)
-    ncells = na * nb
-    nvars = ncells * theory.dim
+    ncells, dim = na * nb, theory.dim
+    nvars = ncells * dim
     a_eq, b_eq = _joint_equalities(theory, f, g, states)
     a_ub = _cone_rows(theory, ncells)
     best_x, best_viol = None, math.inf
@@ -168,19 +153,14 @@ def _joint_feasible(theory, f, g, states=None):
             return None, None
         if r.status == "infeasible":
             return False, None
-        if theory.kind != "Disc":
-            return True, r.x
         new = []
         viol = 0.0
         for c in range(ncells):
-            mx, my, mz = r.x[c * 3 : (c + 1) * 3]
-            nv = math.hypot(mx, my)
-            viol = max(viol, nv - mz)
-            if nv - mz > 1e-7:
+            v, w = theory.support(-r.x[c * dim : (c + 1) * dim])
+            viol = max(viol, v)
+            if v > 1e-7:
                 row = np.zeros(nvars)
-                row[c * 3 + 0] = mx / nv
-                row[c * 3 + 1] = my / nv
-                row[c * 3 + 2] = -1.0
+                row[c * dim : (c + 1) * dim] = -w
                 new.append(row)
         if viol < best_viol:
             best_x, best_viol = r.x, viol
@@ -188,9 +168,9 @@ def _joint_feasible(theory, f, g, states=None):
             return True, r.x
         a_ub = np.vstack([a_ub, new])
     if best_viol <= 1e-6:
-        log.info("disc cut generation stalled at violation %.2e; accepting", best_viol)
+        log.info("cut generation stalled at violation %.2e; accepting", best_viol)
         return True, best_x
-    log.info("disc cut generation undecided (violation %.2e)", best_viol)
+    log.info("cut generation undecided (violation %.2e)", best_viol)
     return None, None
 
 
@@ -407,12 +387,12 @@ def incompatibility_dimension_qubit(t: float, grid: int = 512) -> DimensionRepor
     else:
         chi_incomp = 3
 
-    chi_comp = 3 if chi_comp_plane_verified(theory, t) else "unverified"
-
+    # G(x, y) = p(x) B(y) reproduces the pair on the plane r_x = 0 for every
+    # t, so chi_comp = 3 (test_chi_comp_product_construction checks it)
     return DimensionReport(
         t=t,
         chi_incomp=chi_incomp,
-        chi_comp=chi_comp,
+        chi_comp=3,
         witness=witness,
         details={"grid": grid, "n_incompatible_cells": len(incomp_cells)},
     )
@@ -450,47 +430,6 @@ def _vectorized_proxy(t, phi0, psi0):
     incompatible &= 1.0 - s >= 1e-14
     incompatible &= (1 + s) * (1 - w1 - w2) > (1 - s) * w1 * w2 + 1e-12
     return incompatible
-
-
-def chi_comp_plane_verified(theory: Theory, t: float) -> bool:
-    """The product construction G(x, y) = p(x) B(y), with p the first
-    observable's statistics at a reference state, reproduces both
-    observables on the Bloch-ball plane of states with fixed first-axis
-    statistic, an affine-dimension-2 subset, so chi_comp = 3.
-
-    Verified in full Bloch coordinates: effects (w, m) act on a state r
-    as (1 + w + m.r)/2; plane generators span {r_x = 0}.
-    """
-
-    def val(w, m, r):
-        return 0.5 * (1.0 + w + float(np.dot(m, r)))
-
-    ea = (0.0, np.array([t, 0.0, 0.0]))  # first outcome of A^{tx}
-    eb = (0.0, np.array([0.0, t, 0.0]))  # first outcome of A^{ty}
-    plane = [np.zeros(3), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])]
-    if StateSubset(plane).affine_dim != 2:
-        return False
-    r0 = plane[0]
-    pa = [val(*ea, r0), 1.0 - val(*ea, r0)]
-    # joint cells: G(x, y) = pa[x] * B(y); check validity and marginals
-    cells = {}
-    for xo in range(2):
-        for yo in range(2):
-            wb = eb[0] if yo == 0 else -eb[0]
-            mb = eb[1] if yo == 0 else -eb[1]
-            wc = pa[xo] * (1 + wb) - 1.0
-            mc = pa[xo] * mb
-            if np.linalg.norm(mc) > min(1 + wc, 1 - wc) + 1e-12:
-                return False
-            cells[(xo, yo)] = (wc, mc)
-    for r in plane:
-        pa_m = sum(val(*cells[(0, yo)], r) for yo in range(2))
-        pb_m = sum(val(*cells[(xo, 0)], r) for xo in range(2))
-        if abs(pa_m - val(*ea, r)) > 1e-10:
-            return False
-        if abs(pb_m - val(*eb, r)) > 1e-10:
-            return False
-    return True
 
 
 def exists_incompatible_segment(t: float, grid: int = 128) -> bool:

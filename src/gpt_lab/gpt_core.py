@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TOL = 1e-9
-DISC_SAMPLES = 64  # boundary angles of the sampled disc searches
+DISC_SAMPLES = 64  # boundary angles of the disc's cone_states()
 
 
 def polygon_radius(n: int) -> float:
@@ -40,6 +40,8 @@ class Theory:
     _extreme: np.ndarray | None = field(
         default=None, init=False, compare=False, repr=False
     )
+    # read-only rows of cone_states(False) and cone_states(True)
+    _cone: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "unit_effect", np.asarray(self.unit_effect, float))
@@ -52,12 +54,40 @@ class Theory:
             ext = self._extreme_rows()
             ext.setflags(write=False)
             object.__setattr__(self, "_extreme", ext)
+            cone = inner = self.pure_states.copy()
+        else:
+            ths = [2 * math.pi * j / DISC_SAMPLES for j in range(DISC_SAMPLES)]
+            cone = np.array([self.disc_state(th) for th in ths])
+            inner = cone * [1.0, 1.0, math.cos(math.pi / DISC_SAMPLES)]
+        cone.setflags(write=False)
+        inner.setflags(write=False)
+        object.__setattr__(self, "_cone", (cone, inner))
 
     # -- basic geometry -------------------------------------------------
 
     def pair(self, e: np.ndarray, w: np.ndarray) -> float:
         """The outcome probability e . w."""
         return float(np.asarray(e, float) @ np.asarray(w, float))
+
+    def support(self, v) -> tuple[float, np.ndarray]:
+        """(max of v . w over states w, a state attaining it): the best pure
+        state, or on the disc v_z + |v_xy| at (v_xy / |v_xy|, 1)."""
+        v = np.asarray(v, float)
+        if self.kind != "Disc":
+            vals = self._cone[0] @ v
+            i = vals.argmax()
+            return float(vals[i]), self._cone[0][i]
+        nxy = math.hypot(v[0], v[1])
+        if nxy == 0.0:
+            return float(v[2]), self.maximally_mixed()
+        return float(v[2] + nxy), np.array([v[0] / nxy, v[1] / nxy, 1.0])
+
+    def cone_states(self, inner: bool = False) -> np.ndarray:
+        """Read-only rows w whose constraints e . w >= 0 bound the effect
+        cone: a finite theory's pure states, exact; the disc's
+        ``DISC_SAMPLES`` boundary states, an outer bound, or with ``inner``
+        the same with z scaled by cos(pi/DISC_SAMPLES), an inner bound."""
+        return self._cone[1] if inner else self._cone[0]
 
     def maximally_mixed(self) -> np.ndarray:
         if self.kind == "Disc":
@@ -70,11 +100,6 @@ class Theory:
         if self.kind != "Disc":
             raise ValueError("disc_state only applies to the disc theory")
         return np.array([math.cos(theta), math.sin(theta), 1.0])
-
-    def disc_extreme_effect(self, theta: float) -> np.ndarray:
-        if self.kind != "Disc":
-            raise ValueError("disc_extreme_effect only applies to the disc theory")
-        return 0.5 * np.array([math.cos(theta), math.sin(theta), 1.0])
 
     def extreme_effects(self) -> np.ndarray:
         """Indecomposable pure effects as read-only rows (finite theories
@@ -169,8 +194,8 @@ def make_polygon(n: int, representation: str = "standard") -> Theory:
 
 def make_disc() -> Theory:
     """Disc theory: boundary omega(theta) = (cos t, sin t, 1), extreme
-    effects e(theta) = omega(theta)/2.  Stored parametrically; discretized
-    searches sample ``DISC_SAMPLES`` boundary angles."""
+    effects e(theta) = omega(theta)/2.  Stored parametrically;
+    ``cone_states`` samples it at ``DISC_SAMPLES`` boundary angles."""
     return Theory(
         kind="Disc",
         dim=3,
@@ -198,14 +223,11 @@ def is_state(t: Theory, v, tol: float = TOL) -> bool:
 
 
 def is_effect(t: Theory, v, tol: float = TOL) -> bool:
+    """Whether 0 <= v . w <= 1 on every state w, within ``tol``."""
     v = np.asarray(v, float)
     if v.shape != (t.dim,):
         raise ValueError("dimension mismatch")
-    if t.kind == "Disc":
-        nx = math.hypot(v[0], v[1])
-        return v[2] - nx >= -tol and v[2] + nx <= 1.0 + tol
-    vals = t.pure_states @ v
-    return bool(np.all(vals >= -tol) and np.all(vals <= 1.0 + tol))
+    return bool(-t.support(-v)[0] >= -tol and t.support(v)[0] <= 1.0 + tol)
 
 
 def require_self_dual(t: Theory) -> None:

@@ -275,7 +275,7 @@ def enumerate_decompositions(t: Theory, w: StateVec, granularity: int = 720) -> 
         for th, p in zip(angles, weights):
             a = t.disc_state(th)
             b = t.disc_state(th + math.pi)
-            e = t.disc_extreme_effect(th)
+            e = 0.5 * a
             fam = DistinguishableFamily(
                 [StateVec(t, a), StateVec(t, b)],
                 Observable(t, [e, t.unit_effect - e]),

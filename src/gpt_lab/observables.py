@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gpt_core import DISC_SAMPLES, Theory, is_effect
+from .gpt_core import Theory, is_effect
 
 CLIP = 1e-9
 CLIP_HARD = 1e-6
@@ -142,8 +141,8 @@ def ideal_observables(t: Theory) -> list[Observable]:
     non-singleton sums only occur for simplices (binary coarse-grainings).
     For Simplex(d) the full d-outcome delta observable is included, and for
     Polygon(3) the three-outcome {e0, e1, e2}.  The trivial observable {u}
-    is excluded.  For the disc the extreme effects at ``DISC_SAMPLES``
-    equally spaced angles are used.
+    is excluded.  For the disc the extreme effects w/2 at its
+    ``cone_states`` w are used.
     """
     u = t.unit_effect
     out: list[Observable] = []
@@ -168,9 +167,8 @@ def ideal_observables(t: Theory) -> list[Observable]:
         out.append(Observable(t, [e, comp]))
 
     if t.kind == "Disc":
-        for i in range(DISC_SAMPLES):
-            th = 2 * math.pi * i / DISC_SAMPLES
-            push_binary(t.disc_extreme_effect(th))
+        for w in t.cone_states():
+            push_binary(0.5 * w)
         return out
 
     ext = t.extreme_effects()

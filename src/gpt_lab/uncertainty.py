@@ -10,7 +10,7 @@ import operator
 
 import numpy as np
 
-from .gpt_core import DISC_SAMPLES, StateVec, Theory, eigenstate_of, require_self_dual
+from .gpt_core import StateVec, Theory, eigenstate_of, require_self_dual
 from .numerics import LinearProgram, shannon_entropy, solve_lp
 from .observables import JointObservable, Observable, marginals, measure
 
@@ -101,16 +101,6 @@ def error_bar_width(approx: Observable, ideal: Observable, epsilon: float) -> fl
 # -- distances between observables --------------------------------------
 
 
-def _stat_gap(approx: Observable, ideal: Observable, omega) -> np.ndarray:
-    t = ideal.theory
-    return np.array(
-        [
-            t.pair(fa, omega) - t.pair(f, omega)
-            for fa, f in zip(approx.effects, ideal.effects)
-        ]
-    )
-
-
 def _lipschitz_lp(delta: np.ndarray, metric: np.ndarray) -> float:
     """max |sum_a h(a) delta_a| over the Lipschitz ball, gauge h(0) = 0."""
     k = len(delta)
@@ -144,40 +134,22 @@ def _lipschitz_lp(delta: np.ndarray, metric: np.ndarray) -> float:
 
 def werner_measure(approx: Observable, ideal: Observable) -> float:
     """Largest expectation gap over outcome functions that are 1-Lipschitz
-    in the ideal observable's outcome metric, maximized over states.  On
-    the disc with more than two outcomes the maximum runs over
-    ``DISC_SAMPLES`` boundary states, so it is a lower bound."""
+    in the ideal observable's outcome metric, maximized over the theory's
+    ``cone_states``.  On the disc with more than two outcomes those are
+    sampled boundary states, so the maximum is a lower bound."""
     d = ideal.get_metric()
-    t = ideal.theory
-    k = len(ideal.effects)
-    if k == 2:
+    if len(ideal.effects) == 2:
         # two-point Lipschitz ball reduces to h in {(0, 0), (0, +-d01)}
         return d[0, 1] * linf_distance(approx, ideal)
-    if t.kind == "Disc":
-        best = 0.0
-        for j in range(DISC_SAMPLES):
-            th = 2 * math.pi * j / DISC_SAMPLES
-            delta = _stat_gap(approx, ideal, t.disc_state(th))
-            best = max(best, _lipschitz_lp(delta, d))
-        return best
-    return max(
-        _lipschitz_lp(_stat_gap(approx, ideal, w), d) for w in t.pure_states
-    )
+    gaps = np.array(approx.effects) - np.array(ideal.effects)
+    return max(_lipschitz_lp(gaps @ w, d) for w in ideal.theory.cone_states())
 
 
 def linf_distance(approx: Observable, ideal: Observable) -> float:
     """Worst-case per-outcome probability gap, maximized over states."""
     t = ideal.theory
-    if t.kind == "Disc":
-        best = 0.0
-        for fa, f in zip(approx.effects, ideal.effects):
-            c = np.asarray(fa, float) - np.asarray(f, float)
-            best = max(best, abs(c[2]) + math.hypot(c[0], c[1]))
-        return best
-    best = 0.0
-    for w in t.pure_states:
-        best = max(best, float(np.max(np.abs(_stat_gap(approx, ideal, w)))))
-    return best
+    gaps = np.array(approx.effects) - np.array(ideal.effects)
+    return max(max(t.support(c)[0], t.support(-c)[0]) for c in gaps)
 
 
 # -- entropic measures --------------------------------------------------
@@ -218,23 +190,9 @@ def entropic_pur_bound(gamma: float) -> float:
 
 
 def max_statistics_sum(f: Observable, g: Observable) -> float:
-    """Numeric gamma: max over pure states of max_a f_a + max_b g_b."""
-    t = f.theory
-    if t.kind == "Disc":
-        if len(f.effects) != 2 or len(g.effects) != 2:
-            raise ValueError("disc bound implemented for binary pairs")
-        best = 0.0
-        for ef in f.effects:
-            for eg in g.effects:
-                v = np.asarray(ef, float) + np.asarray(eg, float)
-                best = max(best, v[2] + math.hypot(v[0], v[1]))
-        return best
-    best = 0.0
-    for w in t.pure_states:
-        mf = max(t.pair(e, w) for e in f.effects)
-        mg = max(t.pair(e, w) for e in g.effects)
-        best = max(best, mf + mg)
-    return best
+    """Numeric gamma: max over states of max_a f_a + max_b g_b, that is the
+    largest support of an effect sum f_a + g_b."""
+    return max(f.theory.support(ef + eg)[0] for ef in f.effects for eg in g.effects)
 
 
 def gamma_closed_form(n: int | None, theta: float) -> float:

@@ -191,7 +191,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         "mixing-sweep":
             "fa7ce571c59af2d84fd20823a2021d9bea1875c6847da4464dbecb39870ac125",
         "mur-properties":
-            "d65901e156df73112b6681eef606aa24de6b255be7c44af833d3513d75eeb3b9",
+            "a9e9540de7fa9e663b8a89519dcabe26affb397c9c22f2b9d45ecde5596993ee",
     }
     for name, argv in runs.items():
         p1 = tmp_path / f"{name}-1.out"

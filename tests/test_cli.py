@@ -108,12 +108,23 @@ def test_bad_t_range_rejected():
         ({}, ["mur-properties", "--eps", "0"], "eps"),
         ({}, ["mur-properties", "--eps", "0.5", "1.5"], "eps"),
         ({"gird": 96}, ["incompat-scan"], "gird"),
+        ({"grid": "x"}, ["incompat-scan"], "grid"),
+        ({"grid": True}, ["incompat-scan"], "grid"),
+        ({"trials": 2.5}, ["mur-properties"], "trials"),
+        ({"tol": "1e-3"}, ["incompat-scan"], "tol"),
+        ({"eps": 0.5}, ["mur-properties"], "eps"),
+        ({"eps": [0.5, "1"]}, ["mur-properties"], "eps"),
+        ({"out": 3}, ["gamma-table"], "out"),
+        ([8], ["gamma-table"], "JSON object"),
+        (None, ["gamma-table"], "missing.json"),
     ],
 )
 def test_bad_config_rejected(tmp_path, capsys, payload, argv, field):
-    # like a bad flag: one usage line and exit code 2, no traceback
+    # like a bad flag: one usage line and exit code 2, no traceback; a
+    # payload of None names a config file that does not exist
+    path = str(tmp_path / "missing.json") if payload is None else _cfg(tmp_path, payload)
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--config", _cfg(tmp_path, payload), "--jobs", "1"])
+        main([*argv, "--config", path, "--jobs", "1"])
     assert exc.value.code == 2
     assert field in capsys.readouterr().err
 
@@ -127,7 +138,7 @@ BENCH_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "cli_config.json"
         (["incompat-scan"],
          "140ab45b0d9c510e8bff8fd5db50c773848634d2ada860c47bb88510f0705198"),
         (["mur-properties", "--seed", "0"],
-         "7c2ce0a05ab26ba3c37f9603f05cacb299eb0e9fe93ccdfdf72e228278da5c25"),
+         "9309ecc74c2b47d278959b068fe3f39c5cd33d40835adf9896efce67f5dbb6da"),
     ],
 )
 def test_bench_cli_config_output_pinned(tmp_path, argv, digest):

@@ -24,10 +24,35 @@ from gpt_lab.observables import Observable, fuzz, ideal_observables, marginals
 SQ2INV = 1.0 / math.sqrt(2.0)
 
 
-def test_state_subset_affine_dim():
-    pts = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0])]
-    assert StateSubset(pts).affine_dim == 1
-    assert StateSubset(pts[:1]).affine_dim == 0
+def _bloch_prob(w, m, r):
+    """Probability of the qubit effect (1/2)((1 + w) 1 + m.sigma) on the
+    Bloch vector r."""
+    return 0.5 * (1.0 + w + float(np.dot(m, r)))
+
+
+def test_chi_comp_product_construction():
+    # chi_comp = 3 for every t: G(x, y) = p(x) B(y), with p the statistics
+    # of A^{tx} at r = 0, reproduces (A^{tx}, A^{ty}) on the plane r_x = 0,
+    # an affine-dimension-2 subset of the Bloch ball
+    plane = [np.zeros(3), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])]
+    assert np.linalg.matrix_rank(np.array(plane[1:]) - plane[0]) == 2
+    for t in np.linspace(SQ2INV, 1.0, 202)[1:]:  # 201 values in (1/sqrt 2, 1]
+        ea = (0.0, np.array([t, 0.0, 0.0]))  # first outcome of A^{tx}
+        eb = (0.0, np.array([0.0, t, 0.0]))  # first outcome of A^{ty}
+        pa = _bloch_prob(*ea, plane[0])
+        pa = [pa, 1.0 - pa]
+        cells = {}
+        for x in range(2):
+            for y in range(2):
+                sign = 1.0 if y == 0 else -1.0
+                wc, mc = pa[x] * (1 + sign * eb[0]) - 1.0, pa[x] * sign * eb[1]
+                assert np.linalg.norm(mc) <= min(1 + wc, 1 - wc) + 1e-12, t
+                cells[x, y] = (wc, mc)
+        for r in plane:
+            first = sum(_bloch_prob(*cells[0, y], r) for y in range(2))
+            second = sum(_bloch_prob(*cells[x, 0], r) for x in range(2))
+            assert first == pytest.approx(_bloch_prob(*ea, r), abs=1e-10)
+            assert second == pytest.approx(_bloch_prob(*eb, r), abs=1e-10)
 
 
 def test_closed_form_mu_boundary():

@@ -55,7 +55,7 @@ def test_state_membership():
 
 def test_effect_membership_disc():
     t = make_disc()
-    assert is_effect(t, t.disc_extreme_effect(1.0))
+    assert is_effect(t, 0.5 * t.disc_state(1.0))
     assert is_effect(t, t.unit_effect)
     assert not is_effect(t, np.array([0.8, 0.0, 0.5]))
 
@@ -183,3 +183,81 @@ def test_is_state_matches_hull_lp():
         v = mid + (depth + e @ mid) * out
         assert (ext @ v).min() == pytest.approx(-depth, abs=1e-15)
         assert is_state(t, v) is want
+
+
+def test_support_is_max_over_pure_states():
+    theories = [make_simplex(3)]
+    theories += [make_polygon(n) for n in range(3, 13)]
+    theories += [make_polygon(n, "rescaled") for n in range(4, 13, 2)]
+    rng = np.random.default_rng(11)
+    for t in theories:
+        for _ in range(50):
+            v = rng.normal(size=t.dim)
+            value, w = t.support(v)
+            assert value == np.max(t.pure_states @ v)
+            assert v @ w == pytest.approx(value, abs=1e-12)
+            assert any(np.array_equal(w, p) for p in t.pure_states)
+
+
+def test_support_on_disc_matches_angle_scan():
+    t = make_disc()
+    k = 4096
+    ths = 2 * math.pi * np.arange(k) / k
+    scan_states = np.stack([np.cos(ths), np.sin(ths), np.ones(k)], axis=1)
+    rng = np.random.default_rng(5)
+    for j in range(400):
+        v = rng.normal(size=3)
+        if j % 2:  # put v_xy on a scan angle, where the scan is exact
+            v[:2] = math.hypot(v[0], v[1]) * scan_states[rng.integers(k), :2]
+        value, w = t.support(v)
+        scan = np.max(scan_states @ v)
+        # the scan misses the maximum by at most |v_xy| (1 - cos(pi/k))
+        gap = 1e-12 if j % 2 else math.hypot(v[0], v[1]) * (1 - math.cos(math.pi / k))
+        assert -1e-12 <= value - scan <= gap + 1e-12
+        assert is_state(t, w)
+        assert v @ w == pytest.approx(value, abs=1e-12)
+    # v_xy = 0: every state attains v_z, and support names the mixed one
+    for v in (np.array([0.0, 0.0, 0.7]), np.array([-0.0, 0.0, -2.0])):
+        value, w = t.support(v)
+        assert value == v[2]
+        assert np.array_equal(w, t.maximally_mixed())
+
+
+def test_cone_states_read_only_and_ignored_by_equality():
+    for t in (make_simplex(3), make_polygon(5), make_polygon(6, "rescaled"), make_disc()):
+        for inner in (False, True):
+            rows = t.cone_states(inner)
+            assert t.cone_states(inner) is rows
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0
+    t = make_polygon(7)
+    assert np.array_equal(t.cone_states(), t.pure_states)
+    assert np.array_equal(t.cone_states(True), t.pure_states)
+    a, b = make_disc(), make_disc()
+    object.__setattr__(b, "_cone", (np.zeros((3, 3)), np.zeros((3, 3))))
+    assert a == b and hash(a) == hash(b)
+
+
+def _is_effect_oracle(t, v, tol):
+    # the per-kind formula is_effect had before it went through support
+    if t.kind == "Disc":
+        nx = math.hypot(v[0], v[1])
+        return v[2] - nx >= -tol and v[2] + nx <= 1.0 + tol
+    vals = t.pure_states @ v
+    return bool(np.all(vals >= -tol) and np.all(vals <= 1.0 + tol))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([make_simplex(3), make_polygon(5), make_polygon(8),
+                     make_polygon(8, "rescaled"), make_disc()]),
+    st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+    st.sampled_from([0.0, 1e-9, 1e-6]),
+)
+def test_is_effect_matches_per_kind_formula(t, coords, tol):
+    v = np.array(coords)
+    assert is_effect(t, v, tol) == _is_effect_oracle(t, v, tol)
+    # an extreme effect scaled across the unit boundary flips the verdict
+    e = 0.5 * t.disc_state(coords[0]) if t.kind == "Disc" else t.extreme_effects()[0]
+    for s in (1.0, 1.0 - 1e-6, 1.0 + 1e-6, 2.0, -1.0):
+        assert is_effect(t, s * e, tol) == _is_effect_oracle(t, s * e, tol)

@@ -60,7 +60,7 @@ def test_disc_antipodal_only():
 def test_family_rejects_bad_certificate():
     t = make_disc()
     a, b = sv(t, t.disc_state(0.0)), sv(t, t.disc_state(1.0))
-    e = t.disc_extreme_effect(0.0)
+    e = 0.5 * t.disc_state(0.0)
     with pytest.raises(ValueError):
         DistinguishableFamily([a, b], Observable(t, [e, t.unit_effect - e]))
 
@@ -68,7 +68,7 @@ def test_family_rejects_bad_certificate():
 def test_decomposition_must_reconstruct():
     t = make_disc()
     a, b = sv(t, t.disc_state(0.0)), sv(t, t.disc_state(math.pi))
-    e = t.disc_extreme_effect(0.0)
+    e = 0.5 * t.disc_state(0.0)
     fam = DistinguishableFamily([a, b], Observable(t, [e, t.unit_effect - e]))
     with pytest.raises(ValueError):
         Decomposition(sv(t, t.disc_state(0.5)), fam, np.array([0.5, 0.5]))

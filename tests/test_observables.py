@@ -82,7 +82,7 @@ def test_measure_rejects_garbage():
 @given(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))
 def test_fuzz_is_affine_in_statistics(lam, theta):
     t = make_disc()
-    e = t.disc_extreme_effect(0.7)
+    e = 0.5 * t.disc_state(0.7)
     f = Observable(t, [e, t.unit_effect - e])
     w = t.disc_state(theta)
     p = measure(f, w)

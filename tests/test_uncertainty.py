@@ -1,10 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpt_lab.compatibility import mutually_unbiased_pair, sample_feasible_joints
+from gpt_lab.compatibility import (
+    disc_axis_observable,
+    mutually_unbiased_pair,
+    sample_feasible_joints,
+)
 from gpt_lab.gpt_core import make_disc, make_polygon, make_simplex
 from gpt_lab.observables import (
     Observable,
@@ -36,7 +41,7 @@ def coin(t):
 
 def sharp_disc_pair(angle=0.0):
     t = make_disc()
-    e = t.disc_extreme_effect(angle)
+    e = 0.5 * t.disc_state(angle)
     return t, Observable(t, [e, t.unit_effect - e])
 
 
@@ -142,3 +147,33 @@ def test_witness_state_epsilon_budget():
     j = sample_feasible_joints(f, g, 1, seed=0)[0]
     with pytest.raises(ValueError):
         theorem_witness_state(j, f, g, 0.7, 0.7)
+
+
+def test_max_statistics_sum_three_outcome_disc_matches_angle_scan():
+    # a trine against a binary axis observable: no longer binary-only
+    t = make_disc()
+    trine = Observable(t, [
+        np.array([math.cos(a) / 3, math.sin(a) / 3, 1 / 3])
+        for a in (0.3, 0.3 + 2 * math.pi / 3, 0.3 + 4 * math.pi / 3)
+    ])
+    g = disc_axis_observable(t, 0.8, 1.1)
+    k = 200_000
+    ths = 2 * math.pi * np.arange(k) / k
+    states = np.stack([np.cos(ths), np.sin(ths), np.ones(k)], axis=1)
+    scan = np.max(
+        np.max(states @ np.array(trine.effects).T, axis=1)
+        + np.max(states @ np.array(g.effects).T, axis=1)
+    )
+    gamma = max_statistics_sum(trine, g)
+    assert scan - 1e-12 <= gamma <= scan + 1e-9
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+def test_werner_measure_three_outcomes_is_total_variation(lam):
+    # discrete metric: the Lipschitz LP gives half the l1 gap, and on the
+    # simplex the worst state is a pure one, where it is (2/3)(1 - lam)
+    t = make_simplex(3)
+    ideal = next(o for o in ideal_observables(t) if len(o) == 3)
+    u = t.unit_effect
+    approx = Observable(t, [lam * e + (1 - lam) / 3 * u for e in ideal.effects])
+    assert werner_measure(approx, ideal) == pytest.approx(2 / 3 * (1 - lam), abs=1e-9)

@@ -2,13 +2,16 @@
 incompatibility, and the incompatibility dimension of the mutually unbiased
 qubit pair restricted to the equatorial disc.
 
-Every joint LP runs one supporting-cut loop (Kelley's cutting-plane
-loop) over the theory's ``cone_states`` rows: a cell m violates the effect
-cone by ``support(-m)``, and the state attaining it gives the next cut.
-Every cut is valid for the true cone, so an infeasible LP certifies
-incompatibility, and a solution whose cells violate the cone by at most
-1e-7 is accepted as a joint.  A finite theory's rows are its exact cone, so
-its loop ends at the first solve; the disc's second-order cone needs cuts.
+One loop, ``_joint_lp``, builds and solves every joint LP for its four
+callers: ``are_compatible``, ``s0_compatible``, ``degree_of_incompatibility``
+(with a noise-weight column to maximize) and ``sample_feasible_joints``
+(random objectives).  It is Kelley's supporting-cut loop over the theory's
+``cone_states`` rows: a cell m violates the effect cone by ``support(-m)``,
+and the state attaining it gives the next cut.  Every cut is valid for the
+true cone, so an infeasible LP certifies incompatibility, and a solution
+whose cells violate the cone by at most 1e-7 is accepted as a joint.  A
+finite theory's rows are its exact cone, so its loop ends at the first
+solve; the disc's second-order cone needs cuts.
 """
 
 from __future__ import annotations
@@ -68,12 +71,12 @@ class DimensionReport:
 # -- LP assembly helpers ------------------------------------------------
 
 
-def _cone_rows(theory: Theory, ncells: int, shrink: bool = False) -> np.ndarray:
+def _cone_rows(theory: Theory, ncells: int, inner: bool = False) -> np.ndarray:
     """Rows of -m_c(omega) <= 0, right-hand side zero, for every cell c
-    and every omega in ``theory.cone_states(shrink)``: a superset of the
-    true cone, so infeasibility is a certificate, or with ``shrink`` a
+    and every omega in ``theory.cone_states(inner)``: a superset of the
+    true cone, so infeasibility is a certificate, or with ``inner`` a
     subset, so feasible points are exactly valid."""
-    return np.kron(np.eye(ncells), -theory.cone_states(shrink))
+    return np.kron(np.eye(ncells), -theory.cone_states(inner))
 
 
 def _joint_equalities(theory, f: Observable, g: Observable, states=None):
@@ -124,35 +127,28 @@ def _grid_from_solution(theory, x, na, nb) -> JointObservable:
     return JointObservable(theory, grid, atol=1e-5)
 
 
-def _joint_feasible(theory, f, g, states=None):
-    """Solve the joint-observable (possibly S0-restricted) feasibility
-    problem.  Returns (verdict, x) with verdict True, False, or None when
-    the instance is left undecided.
-
-    The cone rows are valid for the true effect cone, so infeasibility is
-    always a certificate.  Every cell m that violates the cone beyond 1e-7,
-    by support(-m), gets a supporting cut at the state attaining it
-    (Kelley's loop), and the loop accepts once none does.  A finite
-    theory's rows are its exact cone, so its first feasible solve is a
-    joint.  An LP verdict that fails its certificate check leaves the
-    instance undecided.
+def _joint_lp(theory, ncells, a_eq, b_eq, objective=None, inner=False):
+    """Kelley's loop (see the module docstring) for min objective.x over
+    the equality rows, with ``_cone_rows(theory, ncells, inner)`` and the
+    cuts acting on the cell coordinates, which come before any other
+    variable.  Returns (True, x) for a joint, (True, None) for an unbounded
+    objective, (False, None) for a certified infeasibility and (None, None)
+    when a solve fails its certificate check or the cuts stall above 1e-6.
     """
-    na, nb = len(f.effects), len(g.effects)
-    ncells, dim = na * nb, theory.dim
-    nvars = ncells * dim
-    a_eq, b_eq = _joint_equalities(theory, f, g, states)
-    a_ub = _cone_rows(theory, ncells)
+    dim, nvars = theory.dim, a_eq.shape[1]
+    a_ub = _cone_rows(theory, ncells, inner)
+    a_ub = np.pad(a_ub, ((0, 0), (0, nvars - a_ub.shape[1])))
     best_x, best_viol = None, math.inf
     for _ in range(25):
-        p = LinearProgram(nvars, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub,
-                          b_ub=np.zeros(len(a_ub)))
+        p = LinearProgram(nvars, objective=objective, a_eq=a_eq, b_eq=b_eq,
+                          a_ub=a_ub, b_ub=np.zeros(len(a_ub)))
         try:
             r = solve_lp(p)
         except LpNumericalError as exc:
             log.info("joint LP undecided: %s", exc)
             return None, None
-        if r.status == "infeasible":
-            return False, None
+        if r.status in ("infeasible", "unbounded"):
+            return r.status == "unbounded", None
         new = []
         viol = 0.0
         for c in range(ncells):
@@ -174,35 +170,35 @@ def _joint_feasible(theory, f, g, states=None):
     return None, None
 
 
+def _undecided_compatible(f: Observable, g: Observable) -> bool:
+    """Verdict for a pair the joint LP left undecided: for two binary disc
+    observables the exact biased-pair criterion in the embedding plane;
+    anything else raises."""
+    if f.theory.kind != "Disc" or len(f) != 2 or len(g) != 2:
+        raise RuntimeError("joint feasibility undecided for this instance")
+    e1, e2 = f.effects[0], g.effects[0]
+    w1, m1 = 2 * e1[2] - 1.0, np.array([2 * e1[0], 2 * e1[1], 0.0])
+    w2, m2 = 2 * e2[2] - 1.0, np.array([2 * e2[0], 2 * e2[1], 0.0])
+    return busch_unbiased_compatible(w1, m1, w2, m2)
+
+
 # -- public operations --------------------------------------------------
 
 
 def are_compatible(f: Observable, g: Observable):
     """LP test for the existence of a joint observable.
 
-    Returns (bool, JointObservable or None).  Boundary-pinned disc
-    instances the cut generation cannot settle fall back to the exact
-    algebraic criterion when both observables are binary.
+    Returns (bool, JointObservable or None).  Instances the cut loop
+    leaves undecided go to ``_undecided_compatible``.
     """
     if f.theory != g.theory:
         raise ValueError("observables live on different theories")
-    ok, x = _joint_feasible(f.theory, f, g)
+    ok, x = _joint_lp(f.theory, len(f) * len(g), *_joint_equalities(f.theory, f, g))
     if ok is None:
-        if f.theory.kind == "Disc" and len(f.effects) == 2 and len(g.effects) == 2:
-            return disc_binary_pair_compatible(f, g), None
-        raise RuntimeError("joint feasibility undecided for this instance")
-    if ok and x is not None:
+        return _undecided_compatible(f, g), None
+    if ok:
         return True, _grid_from_solution(f.theory, x, len(f.effects), len(g.effects))
     return ok, None
-
-
-def disc_binary_pair_compatible(f: Observable, g: Observable) -> bool:
-    """Exact algebraic joint-measurability test for two binary disc
-    observables, via the biased-pair criterion in the embedding plane."""
-    e1, e2 = f.effects[0], g.effects[0]
-    w1, m1 = 2 * e1[2] - 1.0, np.array([2 * e1[0], 2 * e1[1], 0.0])
-    w2, m2 = 2 * e2[2] - 1.0, np.array([2 * e2[0], 2 * e2[1], 0.0])
-    return busch_unbiased_compatible(w1, m1, w2, m2)
 
 
 def s0_compatible(f: Observable, g: Observable, s0: StateSubset):
@@ -213,8 +209,9 @@ def s0_compatible(f: Observable, g: Observable, s0: StateSubset):
     """
     if f.theory != g.theory:
         raise ValueError("observables live on different theories")
-    ok, x = _joint_feasible(f.theory, f, g, states=s0.generators)
-    if ok and x is not None:
+    a_eq, b_eq = _joint_equalities(f.theory, f, g, states=s0.generators)
+    ok, x = _joint_lp(f.theory, len(f) * len(g), a_eq, b_eq)
+    if ok:
         j = _grid_from_solution(f.theory, x, len(f.effects), len(g.effects))
         return True, marginals(j, atol=1e-5)
     return ok, None
@@ -474,28 +471,35 @@ def estimate_t0(grid: int = 128, tol: float = 1e-3) -> float:
 
 
 def degree_of_incompatibility(f: Observable, g: Observable, tol: float = 1e-4):
-    """Largest uniform-noise weight keeping the fuzzed pair compatible.
+    """Largest uniform-noise weight lambda keeping the fuzzed pair
+    lambda f + (1 - lambda) u/2, lambda g + (1 - lambda) u/2 compatible.
 
-    Returns (lambda, closed_form_upper_bound).  The bound is
-    max over pure states of (max_i f_i + max_j g_j) - 1.
+    Returns (lambda, closed_form_upper_bound).  lambda is min(1, lambda*)
+    for the optimum lambda* of one joint LP with a lambda column (exact on
+    finite theories, within about 1e-7 on the disc); an unbounded lambda*
+    means both observables are already {u/2, u/2}.  ``tol`` is only the
+    resolution of the fallback for an LP left undecided: bisection at
+    tol/4 on the exact criterion of ``_undecided_compatible``.  The bound
+    is max over pure states of (max_i f_i + max_j g_j) - 1.
     """
     if len(f.effects) != 2 or len(g.effects) != 2:
         raise ValueError("degree of incompatibility needs binary observables")
-
     bound = max_statistics_sum(f, g) - 1.0
-
-    def compatible(lam):
-        ok, _ = are_compatible(fuzz(f, lam), fuzz(g, lam))
-        return ok
-
-    if compatible(1.0):
-        return 1.0, bound
+    # marginal rows sum_b G_ab - lambda (f_a - u/2) = u/2, likewise for g;
+    # lambda = 0 has the joint u/4, so the LP is never infeasible
+    a_eq, b_eq = _joint_equalities(f.theory, f, g)
+    half = np.tile(0.5 * f.theory.unit_effect, 4)
+    a_eq = np.column_stack([a_eq, half - b_eq])
+    objective = np.zeros(a_eq.shape[1])
+    objective[-1] = -1.0
+    ok, x = _joint_lp(f.theory, 4, a_eq, half, objective)
+    if ok:
+        return (1.0 if x is None else min(1.0, float(x[-1]))), bound
 
     def pred(lam):
-        return -1.0 if compatible(lam) else 1.0
+        return -1.0 if _undecided_compatible(fuzz(f, lam), fuzz(g, lam)) else 1.0
 
-    lam = bisect(pred, 0.0, 1.0, tol * 0.25)
-    return lam, bound
+    return (1.0 if pred(1.0) < 0 else bisect(pred, 0.0, 1.0, tol * 0.25)), bound
 
 
 def sample_feasible_joints(f: Observable, g: Observable, count: int, seed: int = 0) -> list:
@@ -510,10 +514,7 @@ def sample_feasible_joints(f: Observable, g: Observable, count: int, seed: int =
     """
     theory = f.theory
     na, nb = len(f.effects), len(g.effects)
-    nvars = na * nb * theory.dim
     a_eq, b_eq = _joint_equalities(theory, f, g, states=())
-    a_ub = _cone_rows(theory, na * nb, shrink=True)
-    b_ub = np.zeros(len(a_ub))
     rng = np.random.default_rng(seed)
     vertices = []
     n_vertex = max(2, (count + 1) // 2)
@@ -522,18 +523,15 @@ def sample_feasible_joints(f: Observable, g: Observable, count: int, seed: int =
         if attempts > 4 * n_vertex + 20:
             raise RuntimeError("vertex sampling kept hitting degraded solves")
         attempts += 1
-        c = rng.normal(size=nvars)
-        p = LinearProgram(nvars, objective=c, a_eq=a_eq, b_eq=b_eq,
-                          a_ub=a_ub, b_ub=b_ub)
-        # long degenerate pivot sequences can degrade the tableau; solve_lp
-        # then refuses the vertex, and another objective is drawn
-        try:
-            r = solve_lp(p)
-        except LpNumericalError:
+        c = rng.normal(size=a_eq.shape[1])
+        ok, x = _joint_lp(theory, na * nb, a_eq, b_eq, c, inner=True)
+        # long degenerate pivot sequences can degrade the tableau; the
+        # solve is then undecided, and another objective is drawn
+        if ok is None:
             continue
-        if r.status != "optimal":
+        if x is None:
             raise ValueError("pair admits no joint observable under these cuts")
-        vertices.append(r.x)
+        vertices.append(x)
     out = [
         _grid_from_solution(theory, x, na, nb)
         for x in vertices[: count]

@@ -9,7 +9,6 @@ import numpy as np
 
 from .gpt_core import Theory, is_effect
 
-CLIP = 1e-9
 CLIP_HARD = 1e-6
 
 

@@ -140,6 +140,7 @@ BENCH_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "cli_config.json"
         (["mur-properties", "--seed", "0"],
          "9309ecc74c2b47d278959b068fe3f39c5cd33d40835adf9896efce67f5dbb6da"),
     ],
+    ids=["incompat-scan", "mur-properties"],  # stable across re-pins
 )
 def test_bench_cli_config_output_pinned(tmp_path, argv, digest):
     data = run(tmp_path, "out", *argv, "--config", str(BENCH_CONFIG), "--jobs", "1")

@@ -193,7 +193,9 @@ def test_sample_feasible_joints_deterministic():
 # Disc pairs (t_a, angle_a, t_b, angle_b) on which an earlier simplex pivoted
 # on ~1e-9 entries and answered wrongly: three false "infeasible" verdicts,
 # a point drifted 1.5e-5 off its equalities, and one compatibility and two
-# degree queries from longer benchmark streams.
+# degree queries from longer benchmark streams.  The last two degree pairs
+# break the lambda-LP's tableau in its second cut round, so they exercise
+# the exact-criterion fallback.
 DISC_COMPAT_REGRESSIONS = [
     (0.3090585008333745, 1.2397312711058395, 0.6308252870668838, 1.7772698645076188),
     (0.8405124136665267, 1.808800876832255, 0.6175335669216903, 1.3296653935803973),
@@ -204,6 +206,8 @@ DISC_COMPAT_REGRESSIONS = [
 DISC_DEGREE_REGRESSIONS = [
     (0.7586777674991523, 2.7343602067726422, 0.9881731975365304, 0.7969128022056061),
     (0.5432848272417647, 2.1654011988438673, 0.9516469016904454, 1.5175849409929392),
+    (0.8340738565979897, 2.0381181792823138, 0.8185896689276542, 2.6713676628581737),
+    (0.8782312731851072, 2.9836550455351567, 0.5508192662207659, 1.7260794560780461),
 ]
 
 
@@ -232,6 +236,123 @@ def test_disc_regression_degree(pair):
     f, g, s = _disc_pair(*pair)
     lam, _ = degree_of_incompatibility(f, g)
     assert lam == pytest.approx(min(1.0, 2.0 / s), abs=1e-4)
+
+
+def _binary(t, e):
+    return Observable(t, [e, t.unit_effect - e])
+
+
+def _polygon_degrees(n):
+    """lambda for the pairs (e_k, e_0), k = 1..n-1, of extreme effects of
+    Polygon(n), with their closed-form bounds."""
+    t = make_polygon(n)
+    e = t.extreme_effects()
+    return [degree_of_incompatibility(_binary(t, e[k]), _binary(t, e[0]))
+            for k in range(1, n)]
+
+
+# the degrees below 1 of the pairs (e_k, e_0) on Polygon(n), in closed form
+POLYGON_DEGREES = {
+    4: [0.5],
+    5: [(3 + 2 * math.sqrt(5)) / 11, (8 + 3 * math.sqrt(5)) / 19],
+    6: [2 / 3],
+    8: [SQ2INV],
+    10: [3 - math.sqrt(5), (1 + 3 * math.sqrt(5)) / 11],
+    12: [(3 + math.sqrt(3)) / 6, math.sqrt(3) - 1, (1 + math.sqrt(3)) / 4],
+}
+
+
+@pytest.mark.parametrize("n", sorted(POLYGON_DEGREES))
+def test_degree_matches_polygon_closed_forms(n):
+    lams = [lam for lam, _ in _polygon_degrees(n) if lam < 1.0 - 1e-9]
+    for lam in lams:
+        assert min(abs(lam - w) for w in POLYGON_DEGREES[n]) <= 1e-12, lam
+    for want in POLYGON_DEGREES[n]:
+        assert min(abs(lam - want) for lam in lams) <= 1e-12, want
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_degree_below_landau_pollak_bound(n):
+    for lam, bound in _polygon_degrees(n):
+        assert lam <= bound + 1e-12
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_degree_lp_matches_highs(n):
+    from gpt_lab.compatibility import _cone_rows, _joint_equalities
+
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    t = make_polygon(n)
+    e = t.extreme_effects()
+    g = _binary(t, e[0])
+    for k in range(1, n):
+        f = _binary(t, e[k])
+        a_eq, b_eq = _joint_equalities(t, f, g)
+        half = np.tile(0.5 * t.unit_effect, 4)
+        a_eq = np.column_stack([a_eq, half - b_eq])
+        a_ub = np.pad(_cone_rows(t, 4), ((0, 0), (0, 1)))
+        c = np.zeros(a_eq.shape[1])
+        c[-1] = -1.0
+        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq,
+                      b_eq=half, bounds=(None, None), method="highs")
+        assert res.status == 0
+        lam, _ = degree_of_incompatibility(f, g)
+        assert lam == pytest.approx(min(1.0, res.x[-1]), abs=1e-9)
+
+
+def test_degree_matches_disc_closed_form():
+    # about half of these pairs are incompatible
+    rng = np.random.default_rng(20)
+    for _ in range(60):
+        ta, tb = rng.uniform(0.6, 1.0, size=2)
+        pa, pb = rng.uniform(0.0, 2 * math.pi, size=2)
+        f, g, s = _disc_pair(ta, pa, tb, pb)
+        lam, _ = degree_of_incompatibility(f, g)
+        assert lam == pytest.approx(min(1.0, 2.0 / s), abs=1e-6)
+
+
+@pytest.mark.parametrize("t", [make_simplex(3), make_polygon(4), make_disc()])
+def test_degree_of_trivial_pair_is_one(t):
+    # lambda* is unbounded: fuzzing {u/2, u/2} leaves it as it is
+    trivial = Observable(t, [0.5 * t.unit_effect, 0.5 * t.unit_effect])
+    assert degree_of_incompatibility(trivial, trivial)[0] == 1.0
+
+
+def test_degree_lp_count(monkeypatch):
+    from gpt_lab import compatibility
+
+    calls = []
+    solve = compatibility.solve_lp
+
+    def counted(p):
+        calls.append(p)
+        return solve(p)
+
+    monkeypatch.setattr(compatibility, "solve_lp", counted)
+    t = make_polygon(4)
+    e = t.extreme_effects()
+    lam, _ = degree_of_incompatibility(_binary(t, e[1]), _binary(t, e[0]))
+    assert lam == pytest.approx(0.5, abs=1e-12)
+    assert len(calls) == 1  # a finite theory's cone is exact: one LP
+    calls.clear()
+    lam, _ = degree_of_incompatibility(*mutually_unbiased_pair(make_disc(), 1.0))
+    assert lam == pytest.approx(SQ2INV, abs=1e-6)
+    assert len(calls) <= 3
+
+
+def test_degree_falls_back_when_lp_undecided(monkeypatch):
+    from gpt_lab import compatibility
+    from gpt_lab.numerics import LpNumericalError
+
+    def undecided(p):
+        raise LpNumericalError("forced")
+
+    monkeypatch.setattr(compatibility, "solve_lp", undecided)
+    tol = 1e-4
+    lam, _ = degree_of_incompatibility(*mutually_unbiased_pair(make_disc(), 1.0), tol)
+    assert lam == pytest.approx(SQ2INV, abs=tol)
+    with pytest.raises(RuntimeError, match="undecided"):
+        degree_of_incompatibility(*ideal_observables(make_polygon(4)))
 
 
 def test_vectorized_row_builders_match_loops():

@@ -12,6 +12,14 @@ true cone, so an infeasible LP certifies incompatibility, and a solution
 whose cells violate the cone by at most 1e-7 is accepted as a joint.  A
 finite theory's rows are its exact cone, so its loop ends at the first
 solve; the disc's second-order cone needs cuts.
+
+Every LP is solved on the affine slice of its equality rows: with x0 a
+particular solution and N a basis of their null space (one SVD), x =
+x0 + N z, so the simplex sees only the cone and cut rows in the few slice
+coordinates z, and the returned x is checked against the equality rows.
+A feasibility run whose first point leaves the disc cone solves once over
+``cone_states(inner=True)``; a feasible point there is an exact joint, and
+only an infeasible one sends the loop on to cuts.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gpt_core import Theory, make_disc
-from .numerics import LinearProgram, LpNumericalError, solve_lp, bisect
+from .numerics import TOL, LinearProgram, LpNumericalError, solve_lp, bisect
 from .observables import JointObservable, Observable, fuzz, marginals
 from .uncertainty import max_statistics_sum
 
@@ -131,43 +139,63 @@ def _joint_lp(theory, ncells, a_eq, b_eq, objective=None, inner=False):
     """Kelley's loop (see the module docstring) for min objective.x over
     the equality rows, with ``_cone_rows(theory, ncells, inner)`` and the
     cuts acting on the cell coordinates, which come before any other
-    variable.  Returns (True, x) for a joint, (True, None) for an unbounded
-    objective, (False, None) for a certified infeasibility and (None, None)
-    when a solve fails its certificate check or the cuts stall above 1e-6.
+    variable.  Each LP is solved in the slice coordinates z of x = x0 + N z
+    and has no equality rows; a feasibility run whose first point leaves
+    the cone solves once more over the inner rows.  Returns (True, x) for
+    a joint, (True, None) for an unbounded objective, (False, None) for a
+    certified infeasibility and (None, None) when a solve fails its check,
+    x misses the equality rows or the cuts stall above 1e-6.
     """
-    dim, nvars = theory.dim, a_eq.shape[1]
-    a_ub = _cone_rows(theory, ncells, inner)
-    a_ub = np.pad(a_ub, ((0, 0), (0, nvars - a_ub.shape[1])))
-    best_x, best_viol = None, math.inf
-    for _ in range(25):
-        p = LinearProgram(nvars, objective=objective, a_eq=a_eq, b_eq=b_eq,
-                          a_ub=a_ub, b_ub=np.zeros(len(a_ub)))
-        try:
-            r = solve_lp(p)
-        except LpNumericalError as exc:
-            log.info("joint LP undecided: %s", exc)
-            return None, None
-        if r.status in ("infeasible", "unbounded"):
-            return r.status == "unbounded", None
-        new = []
-        viol = 0.0
-        for c in range(ncells):
-            v, w = theory.support(-r.x[c * dim : (c + 1) * dim])
-            viol = max(viol, v)
-            if v > 1e-7:
-                row = np.zeros(nvars)
-                row[c * dim : (c + 1) * dim] = -w
-                new.append(row)
-        if viol < best_viol:
-            best_x, best_viol = r.x, viol
-        if not new:
-            return True, r.x
-        a_ub = np.vstack([a_ub, new])
-    if best_viol <= 1e-6:
-        log.info("cut generation stalled at violation %.2e; accepting", best_viol)
-        return True, best_x
-    log.info("cut generation undecided (violation %.2e)", best_viol)
-    return None, None
+    # x0 and N from one SVD; an inconsistent system has residual r with
+    # r.a_eq = 0 and r.b_eq = |r|^2 > 0, a Farkas vector
+    u, s, vt = np.linalg.svd(a_eq)
+    rank = int((s > s.max() * max(a_eq.shape) * np.finfo(float).eps).sum())
+    x0 = vt[:rank].T @ (u[:, :rank].T @ b_eq / s[:rank])
+    null, tol, k = vt[rank:].T, TOL * (1.0 + np.abs(b_eq)), ncells * theory.dim
+    if np.any(np.abs(a_eq @ x0 - b_eq) > tol):
+        return False, None
+    c = None if objective is None else objective @ null
+    lps, viol, step = 0, math.nan, "undecided"
+
+    def solve(rows):  # rows r.x_cells <= 0 become (r N) z <= -r.x0
+        nonlocal lps
+        lps += 1
+        r = solve_lp(LinearProgram(null.shape[1], objective=c, a_ub=rows @ null[:k],
+                                   b_ub=-(rows @ x0[:k])))
+        x = None if r.x is None else x0 + null @ r.x
+        if x is not None and np.any(np.abs(a_eq @ x - b_eq) > tol):
+            raise LpNumericalError("joint point misses its equality rows")
+        return r.status, x
+
+    a_ub, best_x, best_viol = _cone_rows(theory, ncells, inner), None, math.inf
+    try:
+        for rnd in range(25):
+            status, x = solve(a_ub)
+            if x is None:
+                ok, step = status == "unbounded", "cuts" if rnd else f"outer {status}"
+                break
+            sup = [theory.support(-x[i : i + theory.dim]) for i in range(0, k, theory.dim)]
+            viol = max(v for v, _ in sup)
+            if viol < best_viol:
+                best_x, best_viol = x, viol
+            if viol <= 1e-7:
+                ok, step = True, "cuts" if rnd else "outer exact"
+                break
+            if rnd == 0 and objective is None and not inner:
+                status, xi = solve(_cone_rows(theory, ncells, True))
+                if xi is not None:
+                    ok, x, step = True, xi, "inner feasible"
+                    break
+            a_ub = np.vstack([a_ub] + [np.kron(np.eye(ncells)[i], -w)
+                                       for i, (v, w) in enumerate(sup) if v > 1e-7])
+        else:
+            ok, x = (True, best_x) if best_viol <= 1e-6 else (None, None)
+            step = "stalled cuts" if ok else step
+    except LpNumericalError as exc:
+        log.info("joint LP undecided: %s", exc)
+        ok, x = None, None
+    log.debug("joint LP: %d LPs, decided by %s, violation %.2e", lps, step, viol)
+    return ok, x
 
 
 def _undecided_compatible(f: Observable, g: Observable) -> bool:

@@ -17,8 +17,10 @@ Every verdict is checked against the original data before it is returned.
 "infeasible" needs the phase-1 dual y (a Farkas certificate) to satisfy
 max(y.A) <= TOL and y.b > TOL on the sign-normalized constraint rows;
 "feasible" and "optimal" need x to meet every original equality and
-inequality within TOL (1 + |rhs|).  A verdict that fails its check raises
-``LpNumericalError`` instead of being returned.
+inequality within TOL (1 + |rhs|); "unbounded" needs the ray d of the
+entering column to have |A_eq d| <= TOL, A_ub d <= TOL and c.d < -TOL.  A
+verdict that fails its check raises ``LpNumericalError`` instead of being
+returned.
 """
 
 from __future__ import annotations
@@ -192,6 +194,16 @@ def solve_lp(p: LinearProgram) -> LpResult:
         tab2[-1, :total] = cfull
         tab2[-1] -= cfull[basis2] @ tab2[:-1]
         if _simplex(tab2, basis2, total) == "unbounded":
+            # the ray of the entering column must pass the original rows
+            enter = int((tab2[-1, :total] < -TOL).argmax())
+            dfull = np.zeros(total)
+            dfull[enter] = 1.0
+            dfull[basis2] = -tab2[:-1, enter]
+            d = dfull[col_of] - dfull[minus]
+            ad = a @ d
+            if (np.abs(ad[:m_eq]).max(initial=0.0) > TOL
+                    or ad[m_eq:].max(initial=0.0) > TOL or c @ d >= -TOL):
+                raise LpNumericalError("phase-2 unbounded ray fails its check")
             return LpResult("unbounded")
 
     xfull = np.zeros(total)

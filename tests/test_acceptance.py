@@ -191,7 +191,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         "mixing-sweep":
             "fa7ce571c59af2d84fd20823a2021d9bea1875c6847da4464dbecb39870ac125",
         "mur-properties":
-            "a9e9540de7fa9e663b8a89519dcabe26affb397c9c22f2b9d45ecde5596993ee",
+            "0d172a03dd2bbda555ac79d9f60440606540fd391dff48beb2299db982661390",
     }
     for name, argv in runs.items():
         p1 = tmp_path / f"{name}-1.out"

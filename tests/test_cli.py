@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,24 @@ def test_log_env_rejected(tmp_path, monkeypatch):
         main(["gamma-table", "--n", "5"])
 
 
+def test_debug_log_leaves_output_unchanged(tmp_path):
+    # the joint-LP debug lines go to stderr, never into the output
+    cfg = _cfg(tmp_path, {"trials": 4})
+    code = "import sys; from gpt_lab.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for level in ("error", "debug"):
+        env = {**os.environ, "GPT_LAB_LOG": level,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        r = subprocess.run(
+            [sys.executable, "-c", code, "mur-properties", "--seed", "3", "--jobs", "1",
+             "--config", cfg], env=env, capture_output=True, check=True)
+        outs.append(r)
+    assert outs[0].stdout == outs[1].stdout
+    assert b"joint LP: " not in outs[0].stderr
+    assert b"joint LP: " in outs[1].stderr
+
+
 def test_bad_t_range_rejected():
     with pytest.raises(ValueError):
         RunConfig(command="incompat-scan", t_min=0.5)
@@ -138,7 +158,7 @@ BENCH_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "cli_config.json"
         (["incompat-scan"],
          "140ab45b0d9c510e8bff8fd5db50c773848634d2ada860c47bb88510f0705198"),
         (["mur-properties", "--seed", "0"],
-         "9309ecc74c2b47d278959b068fe3f39c5cd33d40835adf9896efce67f5dbb6da"),
+         "8bd29e2c2c4a038cde5622582a443864286f6669388b645880f9f9870cdb94a5"),
     ],
     ids=["incompat-scan", "mur-properties"],  # stable across re-pins
 )

@@ -1,3 +1,5 @@
+import itertools
+import logging
 import math
 
 import numpy as np
@@ -194,8 +196,8 @@ def test_sample_feasible_joints_deterministic():
 # on ~1e-9 entries and answered wrongly: three false "infeasible" verdicts,
 # a point drifted 1.5e-5 off its equalities, and one compatibility and two
 # degree queries from longer benchmark streams.  The last two degree pairs
-# break the lambda-LP's tableau in its second cut round, so they exercise
-# the exact-criterion fallback.
+# broke the lambda-LP's tableau in its second cut round while it carried
+# equality rows; on the slice the LP decides them.
 DISC_COMPAT_REGRESSIONS = [
     (0.3090585008333745, 1.2397312711058395, 0.6308252870668838, 1.7772698645076188),
     (0.8405124136665267, 1.808800876832255, 0.6175335669216903, 1.3296653935803973),
@@ -353,6 +355,153 @@ def test_degree_falls_back_when_lp_undecided(monkeypatch):
     assert lam == pytest.approx(SQ2INV, abs=tol)
     with pytest.raises(RuntimeError, match="undecided"):
         degree_of_incompatibility(*ideal_observables(make_polygon(4)))
+
+
+def _lp_count(monkeypatch):
+    from gpt_lab import compatibility
+
+    calls = []
+    solve = compatibility.solve_lp
+
+    def counted(p):
+        calls.append(p)
+        return solve(p)
+
+    monkeypatch.setattr(compatibility, "solve_lp", counted)
+    return calls
+
+
+def _pair_on(t):
+    if t.kind == "Disc":
+        return mutually_unbiased_pair(t, 0.6)
+    return [o for o in ideal_observables(t) if len(o) == 2][:2]
+
+
+@pytest.mark.parametrize("t", [make_polygon(5), make_simplex(3), make_disc()],
+                         ids=["P5", "S3", "disc"])
+def test_joint_lps_solve_on_the_slice(t, monkeypatch):
+    from gpt_lab import compatibility
+    from gpt_lab.numerics import TOL
+
+    lps, runs = _lp_count(monkeypatch), []
+    joint_lp = compatibility._joint_lp
+
+    def recorded(theory, ncells, a_eq, b_eq, *args, **kwargs):
+        ok, x = joint_lp(theory, ncells, a_eq, b_eq, *args, **kwargs)
+        runs.append((a_eq, b_eq, x))
+        return ok, x
+
+    monkeypatch.setattr(compatibility, "_joint_lp", recorded)
+    f, g = _pair_on(t)
+    assert are_compatible(f, g)[0] is not None
+    assert are_compatible(fuzz(f, 0.5), fuzz(g, 0.5))[0] is True
+    assert s0_compatible(f, g, StateSubset(t.cone_states()[:2]))[0] is not None
+    degree_of_incompatibility(f, g)
+    sample_feasible_joints(f, g, 4, seed=1)
+    assert lps and all(p.a_eq is None for p in lps)  # inequality rows only
+    points = [(a_eq, b_eq, x) for a_eq, b_eq, x in runs if x is not None]
+    assert len(points) >= 4
+    for a_eq, b_eq, x in points:  # every returned joint meets its marginals
+        assert np.all(np.abs(a_eq @ x - b_eq) <= TOL * (1.0 + np.abs(b_eq)))
+
+
+def test_inconsistent_equality_rows_are_infeasible_without_an_lp(monkeypatch):
+    from gpt_lab.compatibility import _joint_equalities, _joint_lp
+
+    calls = _lp_count(monkeypatch)
+    t = make_polygon(5)
+    a_eq, b_eq = _joint_equalities(t, *_pair_on(t))
+    b_eq = b_eq + 1e-3 * (np.arange(len(b_eq)) == 0)  # f's marginals no longer sum to u
+    assert _joint_lp(t, 4, a_eq, b_eq) == (False, None)
+    assert calls == []
+
+
+def test_slice_lp_verdicts_match_highs():
+    from gpt_lab.compatibility import _cone_rows, _joint_equalities
+
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    cases = []
+    for n in range(4, 13):
+        t = make_polygon(n)
+        e = t.extreme_effects()
+        g = _binary(t, e[0])
+        for k in range(1, n):
+            f = _binary(t, e[k])
+            cases.append((t, f, g, degree_of_incompatibility(f, g)[0]))
+    t = make_simplex(3)
+    obs = [o for o in ideal_observables(t) if len(o) == 2]
+    cases += [(t, f, g, 1.0) for f, g in itertools.combinations(obs, 2)]
+    rng = np.random.default_rng(34)
+    incompatible = 0
+    for t, f, g, lam_star in cases:
+        for lam in np.clip(lam_star + rng.uniform(-0.05, 0.05, size=2), 0.0, 1.0):
+            if abs(lam - lam_star) < 1e-6:
+                continue  # knife edge: the two solvers' tolerances decide
+            ff, gg = fuzz(f, lam), fuzz(g, lam)
+            a_eq, b_eq = _joint_equalities(t, ff, gg)
+            a_ub = _cone_rows(t, 4)
+            res = linprog(np.zeros(a_eq.shape[1]), A_ub=a_ub, b_ub=np.zeros(len(a_ub)),
+                          A_eq=a_eq, b_eq=b_eq, bounds=(None, None), method="highs")
+            assert res.status in (0, 2)
+            assert are_compatible(ff, gg)[0] == (res.status == 0), (t, lam, lam_star)
+            incompatible += res.status == 2
+    assert incompatible >= 20
+
+
+def _seeded_disc_pairs(count, lo, hi, seed):
+    """``count`` seeded unbiased disc pairs (f, g, S) with lo <= |S - 2| <= hi,
+    S = |a + b| + |a - b|; the pair is compatible iff S <= 2."""
+    rng = np.random.default_rng(seed)
+    ta, tb = rng.uniform(0.3, 1.0, size=(2, 200_000))
+    pa, pb = rng.uniform(0.0, 2 * math.pi, size=(2, 200_000))
+    a = ta * np.array([np.cos(pa), np.sin(pa)])
+    b = tb * np.array([np.cos(pb), np.sin(pb)])
+    s = np.linalg.norm(a + b, axis=0) + np.linalg.norm(a - b, axis=0)
+    keep = np.nonzero((abs(s - 2.0) >= lo) & (abs(s - 2.0) <= hi))[0][:count]
+    assert len(keep) == count
+    return [_disc_pair(ta[i], pa[i], tb[i], pb[i]) for i in keep]
+
+
+def test_near_boundary_disc_pairs_match_closed_form():
+    for f, g, s in _seeded_disc_pairs(200, 1e-6, 1e-2, seed=341):
+        assert are_compatible(f, g)[0] == (s <= 2.0), s
+
+
+def test_inner_solve_settles_disc_pairs(monkeypatch):
+    calls = _lp_count(monkeypatch)
+    t = make_disc()
+    pairs = [(*mutually_unbiased_pair(t, 0.6), 1.2 * math.sqrt(2.0)),
+             (*mutually_unbiased_pair(t, 1.0), 2.0 * math.sqrt(2.0))]
+    pairs += _seeded_disc_pairs(40, 1e-2, math.inf, seed=342)
+    assert {s <= 2.0 for _, _, s in pairs} == {True, False}
+    for f, g, s in pairs:
+        calls.clear()
+        ok, joint = are_compatible(f, g)
+        assert ok == (s <= 2.0)
+        if ok:  # outer LP, then at most one inner-cone LP
+            assert len(calls) <= 2, s
+            for row in joint.grid:
+                for cell in row:
+                    assert is_effect(t, cell, tol=1e-9)
+        else:  # the outer relaxation is already infeasible
+            assert len(calls) == 1, s
+
+
+def test_joint_lp_logs_one_debug_line_per_run(caplog):
+    # what GPT_LAB_LOG=debug shows; tests/test_cli.py runs the CLI with it
+    caplog.set_level(logging.DEBUG, logger="gpt_lab")
+    t = make_disc()  # S = 1.93 below: the outer point leaves the disc cone
+    cases = [
+        (mutually_unbiased_pair(t, 1.0), "1 LPs, decided by outer infeasible"),
+        (_disc_pair(0.9, 0.0, 0.4, 1.0)[:2], "2 LPs, decided by inner feasible"),
+        ([fuzz(o, 0.5) for o in _pair_on(make_polygon(5))], "1 LPs, decided by outer exact"),
+    ]
+    for (f, g), want in cases:
+        caplog.clear()
+        are_compatible(f, g)
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(lines) == 1 and lines[0].startswith("joint LP: " + want), lines
+        assert "violation" in lines[0]
 
 
 def test_vectorized_row_builders_match_loops():

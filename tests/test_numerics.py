@@ -6,7 +6,9 @@ import pytest
 from hypothesis import errors, given, reject, settings
 from hypothesis import strategies as st
 
-from gpt_lab.numerics import LinearProgram, bisect, shannon_entropy, solve_lp
+from gpt_lab.numerics import (
+    LinearProgram, LpNumericalError, bisect, shannon_entropy, solve_lp,
+)
 
 
 def _bounded(n, lb, a_ub=None, b_ub=None, **kwargs):
@@ -64,6 +66,21 @@ def test_lp_infeasible():
 
 def test_lp_unbounded():
     p = _bounded(1, 0.0, objective=np.array([-1.0]))
+    assert solve_lp(p).status == "unbounded"
+
+
+def test_lp_unbounded_needs_a_checked_ray():
+    # every positive entry of the entering column is below PIVOT_TOL, so the
+    # ratio test finds no leaving row, yet x <= 1e8 bounds the LP: the ray
+    # d = 1 has A_ub d = 1e-8 > TOL and is rejected
+    p = LinearProgram(1, objective=np.array([-1.0]), a_ub=np.array([[1e-8]]),
+                      b_ub=np.array([1.0]))
+    with pytest.raises(LpNumericalError, match="ray"):
+        solve_lp(p)
+    # a genuine ray along x1 with x0 pinned by an equality row
+    p = LinearProgram(2, objective=np.array([0.0, -1.0]), a_eq=np.array([[1.0, 0.0]]),
+                      b_eq=np.array([1.0]), a_ub=np.array([[1.0, -1.0]]),
+                      b_ub=np.array([0.0]))
     assert solve_lp(p).status == "unbounded"
 
 

@@ -13,10 +13,6 @@ whose cells violate the cone by at most 1e-7 is accepted as a joint.  A
 finite theory's rows are its exact cone, so its loop ends at the first
 solve; the disc's second-order cone needs cuts.
 
-Every LP is solved on the affine slice of its equality rows: with x0 a
-particular solution and N a basis of their null space (one SVD), x =
-x0 + N z, so the simplex sees only the cone and cut rows in the few slice
-coordinates z, and the returned x is checked against the equality rows.
 A feasibility run whose first point leaves the disc cone solves once over
 ``cone_states(inner=True)``; a feasible point there is an exact joint, and
 only an infeasible one sends the loop on to cuts.
@@ -32,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gpt_core import Theory, make_disc
-from .numerics import TOL, LinearProgram, LpNumericalError, solve_lp, bisect
+from .numerics import LinearProgram, LpNumericalError, solve_lp, bisect
 from .observables import JointObservable, Observable, fuzz, marginals
 from .uncertainty import max_statistics_sum
 
@@ -139,33 +135,21 @@ def _joint_lp(theory, ncells, a_eq, b_eq, objective=None, inner=False):
     """Kelley's loop (see the module docstring) for min objective.x over
     the equality rows, with ``_cone_rows(theory, ncells, inner)`` and the
     cuts acting on the cell coordinates, which come before any other
-    variable.  Each LP is solved in the slice coordinates z of x = x0 + N z
-    and has no equality rows; a feasibility run whose first point leaves
-    the cone solves once more over the inner rows.  Returns (True, x) for
-    a joint, (True, None) for an unbounded objective, (False, None) for a
-    certified infeasibility and (None, None) when a solve fails its check,
-    x misses the equality rows or the cuts stall above 1e-6.
+    variable; a feasibility run whose first point leaves the cone solves
+    once more over the inner rows.  Returns (True, x) for a joint, (True,
+    None) for an unbounded objective, (False, None) for a certified
+    infeasibility and (None, None) when a solve fails its check or the
+    cuts stall above 1e-6.
     """
-    # x0 and N from one SVD; an inconsistent system has residual r with
-    # r.a_eq = 0 and r.b_eq = |r|^2 > 0, a Farkas vector
-    u, s, vt = np.linalg.svd(a_eq)
-    rank = int((s > s.max() * max(a_eq.shape) * np.finfo(float).eps).sum())
-    x0 = vt[:rank].T @ (u[:, :rank].T @ b_eq / s[:rank])
-    null, tol, k = vt[rank:].T, TOL * (1.0 + np.abs(b_eq)), ncells * theory.dim
-    if np.any(np.abs(a_eq @ x0 - b_eq) > tol):
-        return False, None
-    c = None if objective is None else objective @ null
+    n, k = a_eq.shape[1], ncells * theory.dim
     lps, viol, step = 0, math.nan, "undecided"
 
-    def solve(rows):  # rows r.x_cells <= 0 become (r N) z <= -r.x0
+    def solve(rows):  # rows r.x_cells <= 0, zero on the other variables
         nonlocal lps
         lps += 1
-        r = solve_lp(LinearProgram(null.shape[1], objective=c, a_ub=rows @ null[:k],
-                                   b_ub=-(rows @ x0[:k])))
-        x = None if r.x is None else x0 + null @ r.x
-        if x is not None and np.any(np.abs(a_eq @ x - b_eq) > tol):
-            raise LpNumericalError("joint point misses its equality rows")
-        return r.status, x
+        padded = np.hstack([rows, np.zeros((len(rows), n - k))])
+        r = solve_lp(LinearProgram(n, objective, a_eq, b_eq, padded, np.zeros(len(rows))))
+        return r.status, r.x
 
     a_ub, best_x, best_viol = _cone_rows(theory, ncells, inner), None, math.inf
     try:

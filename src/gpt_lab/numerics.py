@@ -2,7 +2,18 @@
 
 The LP solver is a dense two-phase simplex over free variables.  Every
 problem in this package is tiny (at most a few hundred rows), so
-determinism and simplicity win over sparse machinery.  The pivot rules:
+determinism and simplicity win over sparse machinery.
+
+Every LP is solved on the affine slice of its equality rows: one SVD of
+A_eq gives a least-squares solution x0 and a basis N of the null space
+(singular values up to ``TOL`` times the largest count as zero), and the
+simplex runs on the inequality rows in the slice coordinates z of
+x = x0 + N z, (A_ub N) z <= b_ub - A_ub x0.  When the lstsq residual
+r = b_eq - A_eq x0 exceeds TOL (1 + |b_eq|) the LP is "infeasible" with no
+pivot: r.A_eq = 0 and r.b_eq = |r|^2 > 0, so r is its own Farkas vector.
+Phase 1 starts from the slack basis and needs artificial variables only
+for the rows whose right-hand side is negative.  With no equality rows,
+x0 = 0 and N = I.  The pivot rules:
 
 - entering: Bland's rule, the first column with reduced cost below -``TOL``
   (1e-9);
@@ -13,18 +24,20 @@ determinism and simplicity win over sparse machinery.  The pivot rules:
   largest tied pivot are dropped, and the smallest basis index wins among
   the rest.
 
-Every verdict is checked against the original data before it is returned.
-"infeasible" needs the phase-1 dual y (a Farkas certificate) to satisfy
-max(y.A) <= TOL and y.b > TOL on the sign-normalized constraint rows;
+Every verdict of the simplex is checked before it is returned.
+"infeasible" needs the phase-1 dual y (a Farkas certificate for the slice)
+to satisfy max(y.A) <= TOL and y.b > TOL on the sign-normalized rows;
 "feasible" and "optimal" need x to meet every original equality and
 inequality within TOL (1 + |rhs|); "unbounded" needs the ray d of the
-entering column to have |A_eq d| <= TOL, A_ub d <= TOL and c.d < -TOL.  A
-verdict that fails its check raises ``LpNumericalError`` instead of being
-returned.
+entering column, mapped back to x, to have |A_eq d| <= TOL, A_ub d <= TOL
+and c.d < -TOL.  A verdict that fails its check raises ``LpNumericalError``
+instead of being returned.  Each solve logs one debug line with the shape
+of the LP as posed and of its tableau.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -34,6 +47,8 @@ TOL = 1e-9
 PIVOT_TOL = 1e-7
 TIE_PIVOT_FRAC = 1e-3
 ENTROPY_CLIP = 1e-7
+
+log = logging.getLogger("gpt_lab")
 
 
 class LpNumericalError(RuntimeError):
@@ -121,14 +136,12 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int) -> str:
 
 
 def solve_lp(p: LinearProgram) -> LpResult:
-    """Two-phase dense simplex.  Every variable is free and is split into
-    a plus and a minus column.  Raises LpNumericalError when a verdict
-    fails its certificate check at tolerance ``TOL``."""
+    """Two-phase dense simplex on the slice of the equality rows (see the
+    module docstring).  Every slice coordinate is free and is split into a
+    plus and a minus column.  Raises LpNumericalError when a verdict fails
+    its certificate check at tolerance ``TOL``."""
     p.validate()
     n = p.n_vars
-    col_of = 2 * np.arange(n)
-    minus = col_of + 1
-    ncols = 2 * n
 
     def block(a, b):
         if a is None:
@@ -136,27 +149,39 @@ def solve_lp(p: LinearProgram) -> LpResult:
         return np.asarray(a, dtype=float), np.asarray(b, dtype=float).reshape(-1)
 
     (a_eq, b_eq), (a_ub, b_ub) = block(p.a_eq, p.b_eq), block(p.a_ub, p.b_ub)
-    a, b = np.vstack([a_eq, a_ub]), np.concatenate([b_eq, b_ub])
-    m_eq, m = len(a_eq), len(a)
-    n_slack = m - m_eq
-    total = ncols + n_slack
+    # x = x0 + N z: x0 the least-squares solution of the equality rows and N
+    # a basis of their null space, from one SVD
+    u, s, vt = np.linalg.svd(a_eq)
+    rank = int((s > TOL * s.max(initial=0.0)).sum())
+    x0 = vt[:rank].T @ (u[:, :rank].T @ b_eq / s[:rank])
+    null = vt[rank:].T
+    nz, m = null.shape[1], len(a_ub)
+    log.debug("LP posed %d+%d rows x %d vars, tableau %d rows x %d z columns",
+              len(a_eq), m, n, m, nz)
+    if np.any(np.abs(a_eq @ x0 - b_eq) > TOL * (1.0 + np.abs(b_eq))):
+        # the residual r has r.A_eq = 0 and r.b_eq = |r|^2 > 0: a Farkas vector
+        return LpResult("infeasible")
+    col_of = 2 * np.arange(nz)
+    minus = col_of + 1
+    ncols = 2 * nz
+    total = ncols + m
 
-    # sign-normalized rows [A+ | A- | slack identity] x' = b' >= 0
+    # sign-normalized rows [A N | -A N | slack identity] z' = b - A x0 >= 0
+    a = a_ub @ null
     amat = np.zeros((m, total))
     amat[:, col_of] = a
     amat[:, minus] = -a
-    amat[np.arange(m_eq, m), np.arange(ncols, total)] = 1.0
-    bvec = b.copy()
+    amat[np.arange(m), np.arange(ncols, total)] = 1.0
+    bvec = b_ub - a_ub @ x0
     neg = bvec < 0
     amat[neg] *= -1.0
     bvec[neg] *= -1.0
 
-    # phase 1: slack columns with +1 sign and nonnegative rhs can start in
-    # the basis; only the remaining rows get artificial variables
-    basis0 = np.arange(m) - m_eq + ncols
-    need_art = (basis0 < ncols) | neg
-    art_rows = need_art.nonzero()[0]
+    # phase 1: a slack column starts in the basis of its row unless the
+    # row's rhs was negative; only those rows get artificial variables
+    art_rows = neg.nonzero()[0]
     n_art = art_rows.size
+    basis0 = ncols + np.arange(m)
     basis0[art_rows] = total + np.arange(n_art)
 
     tab = np.zeros((m + 1, total + n_art + 1))
@@ -170,7 +195,7 @@ def solve_lp(p: LinearProgram) -> LpResult:
         raise LpNumericalError("phase 1 reported an unbounded sum of artificials")
     if -tab[-1, -1] > TOL:
         # Farkas certificate: y.A' <= 0 on every column while y.b' > 0
-        y = need_art - tab[-1, basis0]
+        y = neg - tab[-1, basis0]
         if (y @ amat).max(initial=0.0) > TOL or y @ bvec <= TOL:
             raise LpNumericalError("phase-1 infeasibility certificate fails")
         return LpResult("infeasible")
@@ -188,9 +213,10 @@ def solve_lp(p: LinearProgram) -> LpResult:
 
     if p.objective is not None:
         c = np.asarray(p.objective, dtype=float)
+        cz = c @ null
         cfull = np.zeros(total)
-        cfull[col_of] = c
-        cfull[minus] = -c
+        cfull[col_of] = cz
+        cfull[minus] = -cz
         tab2[-1, :total] = cfull
         tab2[-1] -= cfull[basis2] @ tab2[:-1]
         if _simplex(tab2, basis2, total) == "unbounded":
@@ -199,20 +225,18 @@ def solve_lp(p: LinearProgram) -> LpResult:
             dfull = np.zeros(total)
             dfull[enter] = 1.0
             dfull[basis2] = -tab2[:-1, enter]
-            d = dfull[col_of] - dfull[minus]
-            ad = a @ d
-            if (np.abs(ad[:m_eq]).max(initial=0.0) > TOL
-                    or ad[m_eq:].max(initial=0.0) > TOL or c @ d >= -TOL):
+            d = null @ (dfull[col_of] - dfull[minus])
+            if (np.abs(a_eq @ d).max(initial=0.0) > TOL
+                    or (a_ub @ d).max(initial=0.0) > TOL or c @ d >= -TOL):
                 raise LpNumericalError("phase-2 unbounded ray fails its check")
             return LpResult("unbounded")
 
     xfull = np.zeros(total)
     xfull[basis2] = tab2[:-1, -1]
-    x = xfull[col_of] - xfull[minus] + 0.0  # no entry comes back as -0.0
+    x = x0 + null @ (xfull[col_of] - xfull[minus]) + 0.0  # no entry comes back as -0.0
     # primal check against the original rows
-    resid = a @ x - b
-    resid[:m_eq] = np.abs(resid[:m_eq])
-    worst = np.max(resid / (1.0 + np.abs(b)), initial=0.0)
+    resid = np.concatenate([np.abs(a_eq @ x - b_eq), a_ub @ x - b_ub])
+    worst = np.max(resid / (1.0 + np.abs(np.concatenate([b_eq, b_ub]))), initial=0.0)
     if worst > TOL:
         raise LpNumericalError(f"LP point misses its constraints by {worst:.2e}")
     if p.objective is not None:

@@ -380,17 +380,27 @@ def _pair_on(t):
 @pytest.mark.parametrize("t", [make_polygon(5), make_simplex(3), make_disc()],
                          ids=["P5", "S3", "disc"])
 def test_joint_lps_solve_on_the_slice(t, monkeypatch):
-    from gpt_lab import compatibility
+    from gpt_lab import compatibility, numerics
     from gpt_lab.numerics import TOL
 
-    lps, runs = _lp_count(monkeypatch), []
-    joint_lp = compatibility._joint_lp
+    events, runs = [], []  # each posed LP, then the row count of each tableau
+    solve, simplex, joint_lp = compatibility.solve_lp, numerics._simplex, compatibility._joint_lp
+
+    def posed(p):
+        events.append(p)
+        return solve(p)
+
+    def tableau(tab, basis, ncols):
+        events.append(tab.shape[0])
+        return simplex(tab, basis, ncols)
 
     def recorded(theory, ncells, a_eq, b_eq, *args, **kwargs):
         ok, x = joint_lp(theory, ncells, a_eq, b_eq, *args, **kwargs)
         runs.append((a_eq, b_eq, x))
         return ok, x
 
+    monkeypatch.setattr(compatibility, "solve_lp", posed)
+    monkeypatch.setattr(numerics, "_simplex", tableau)
     monkeypatch.setattr(compatibility, "_joint_lp", recorded)
     f, g = _pair_on(t)
     assert are_compatible(f, g)[0] is not None
@@ -398,22 +408,15 @@ def test_joint_lps_solve_on_the_slice(t, monkeypatch):
     assert s0_compatible(f, g, StateSubset(t.cone_states()[:2]))[0] is not None
     degree_of_incompatibility(f, g)
     sample_feasible_joints(f, g, 4, seed=1)
-    assert lps and all(p.a_eq is None for p in lps)  # inequality rows only
+    lps = [i for i, e in enumerate(events) if isinstance(e, numerics.LinearProgram)]
+    assert lps
+    for i in lps:  # phase 1 has a row per inequality, none per equality
+        p, rows = events[i], events[i + 1]
+        assert p.a_eq is not None and rows == len(p.a_ub) + 1
     points = [(a_eq, b_eq, x) for a_eq, b_eq, x in runs if x is not None]
     assert len(points) >= 4
     for a_eq, b_eq, x in points:  # every returned joint meets its marginals
         assert np.all(np.abs(a_eq @ x - b_eq) <= TOL * (1.0 + np.abs(b_eq)))
-
-
-def test_inconsistent_equality_rows_are_infeasible_without_an_lp(monkeypatch):
-    from gpt_lab.compatibility import _joint_equalities, _joint_lp
-
-    calls = _lp_count(monkeypatch)
-    t = make_polygon(5)
-    a_eq, b_eq = _joint_equalities(t, *_pair_on(t))
-    b_eq = b_eq + 1e-3 * (np.arange(len(b_eq)) == 0)  # f's marginals no longer sum to u
-    assert _joint_lp(t, 4, a_eq, b_eq) == (False, None)
-    assert calls == []
 
 
 def test_slice_lp_verdicts_match_highs():
@@ -499,7 +502,8 @@ def test_joint_lp_logs_one_debug_line_per_run(caplog):
     for (f, g), want in cases:
         caplog.clear()
         are_compatible(f, g)
-        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        lines = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.DEBUG and r.funcName == "_joint_lp"]
         assert len(lines) == 1 and lines[0].startswith("joint LP: " + want), lines
         assert "violation" in lines[0]
 

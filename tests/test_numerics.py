@@ -1,3 +1,4 @@
+import logging
 import math
 from types import SimpleNamespace
 
@@ -82,6 +83,53 @@ def test_lp_unbounded_needs_a_checked_ray():
                       b_eq=np.array([1.0]), a_ub=np.array([[1.0, -1.0]]),
                       b_ub=np.array([0.0]))
     assert solve_lp(p).status == "unbounded"
+
+
+def test_inconsistent_equality_rows_are_infeasible_without_a_pivot(monkeypatch):
+    from gpt_lab import numerics
+    from gpt_lab.compatibility import _joint_equalities, _joint_lp
+    from gpt_lab.gpt_core import make_polygon
+    from gpt_lab.observables import ideal_observables
+
+    tableaus = []
+    simplex = numerics._simplex
+
+    def counted(tab, basis, ncols):
+        tableaus.append(tab.shape)
+        return simplex(tab, basis, ncols)
+
+    monkeypatch.setattr(numerics, "_simplex", counted)
+    # x + y = 1 and 2x + 2y = 3: the lstsq residual is its own Farkas vector
+    p = LinearProgram(2, a_eq=np.array([[1.0, 1.0], [2.0, 2.0]]), b_eq=np.array([1.0, 3.0]),
+                      a_ub=-np.eye(2), b_ub=np.zeros(2))
+    assert solve_lp(p).status == "infeasible"
+    t = make_polygon(5)
+    f, g = [o for o in ideal_observables(t) if len(o) == 2][:2]
+    a_eq, b_eq = _joint_equalities(t, f, g)
+    b_eq = b_eq + 1e-3 * (np.arange(len(b_eq)) == 0)  # f's marginals no longer sum to u
+    assert _joint_lp(t, 4, a_eq, b_eq) == (False, None)
+    assert tableaus == []
+
+
+def test_rows_dependent_up_to_round_off_keep_their_null_direction():
+    # both rows were made orthogonal to d in floating point: the smaller
+    # singular value is 3.7 eps of the larger, above numpy's matrix_rank
+    # default for a 2 x 2 matrix (2 eps); counted as rank 2 it would pin x
+    # and hide the ray d
+    a_eq = np.array([[-0.08693825277546363, 0.0947693209991578],
+                     [0.04710064849004936, -0.05134329634563095]])
+    d = np.array([1.0, 0.9173670535872673])
+    p = _bounded(2, 0.0, objective=-d, a_eq=a_eq, b_eq=a_eq @ np.array([0.5, 0.5]))
+    assert solve_lp(p).status == "unbounded"
+
+
+def test_lp_logs_posed_and_tableau_shape(caplog):
+    caplog.set_level(logging.DEBUG, logger="gpt_lab")
+    p = LinearProgram(3, objective=np.array([1.0, 0.0, 0.0]), a_eq=np.array([[1.0, 1.0, 1.0]]),
+                      b_eq=np.array([1.0]), a_ub=-np.eye(3), b_ub=np.zeros(3))
+    assert solve_lp(p).status == "optimal"
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert lines == ["LP posed 1+3 rows x 3 vars, tableau 3 rows x 2 z columns"]
 
 
 def test_lp_feasibility_only():
@@ -208,15 +256,24 @@ def _highs_status(p):
 @st.composite
 def _small_lps(draw):
     """A random LP with 2-5 variables (some free, some bounded below by
-    ``_bounded`` rows), 0-2 equalities and 1-5 further inequalities, built
-    to have status ``kind``."""
+    ``_bounded`` rows) and 1-5 further inequalities, built to have status
+    ``kind``.  Its equality rows are 0-2 independent ones, 1-2 rows plus a
+    duplicate or a linear combination of them (with its rhs shifted off
+    the system for an infeasible LP), or n to n+1 rows, which pin x unless
+    the unbounded direction is kept."""
     kind = draw(st.sampled_from(_STATUSES))
+    eq = draw(st.sampled_from(("independent", "dependent", "overdetermined")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, m_eq, m_ub = int(rng.integers(2, 6)), int(rng.integers(0, 3)), int(rng.integers(1, 6))
+    n, m_ub = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+    m_eq = {"independent": int(rng.integers(0, 3)), "dependent": int(rng.integers(1, 3)),
+            "overdetermined": n + int(rng.integers(0, 2))}[eq]
     free = rng.random(n) < 0.3
     lb = np.where(free, -np.inf, rng.uniform(-1.0, 1.0, n))
     x0 = np.where(free, rng.normal(size=n), lb + rng.uniform(0.0, 1.0, n))
     a_eq = rng.normal(size=(m_eq, n))
+    if eq == "dependent":
+        w = np.eye(m_eq)[0] if rng.random() < 0.5 else rng.normal(size=m_eq)
+        a_eq = np.vstack([a_eq, w @ a_eq])
     a_ub = rng.normal(size=(m_ub, n))
     c = rng.normal(size=n)
     if kind == "optimal":  # a box around x0 keeps the optimum finite
@@ -226,8 +283,11 @@ def _small_lps(draw):
         a_eq -= np.outer(a_eq @ d, d) / (d @ d)
         a_ub *= np.where(a_ub @ d > 0, -1.0, 1.0)[:, None]
         c -= (c @ d + 1.0) * d / (d @ d)
+    b_eq = a_eq @ x0
     b_ub = a_ub @ x0 + rng.uniform(0.0, 1.0, len(a_ub))
-    if kind == "infeasible":  # r.x <= beta and r.x >= beta + 1
+    if kind == "infeasible" and eq == "dependent":  # inconsistent equality rows
+        b_eq[-1] += 1.0
+    elif kind == "infeasible":  # r.x <= beta and r.x >= beta + 1
         r = rng.normal(size=n)
         a_ub = np.vstack([a_ub, r, -r])
         b_ub = np.concatenate([b_ub, [r @ x0, -(r @ x0) - 1.0]])
@@ -235,8 +295,8 @@ def _small_lps(draw):
         n,
         lb,
         objective=None if kind == "feasible" else c,
-        a_eq=a_eq if m_eq else None,
-        b_eq=a_eq @ x0 if m_eq else None,
+        a_eq=a_eq if len(a_eq) else None,
+        b_eq=b_eq if len(a_eq) else None,
         a_ub=a_ub,
         b_ub=b_ub,
     )

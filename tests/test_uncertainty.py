@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from gpt_lab.compatibility import (
 from gpt_lab.gpt_core import make_disc, make_polygon, make_simplex
 from gpt_lab.observables import (
     Observable,
+    cyclic_metric,
     discrete_metric,
     fuzz,
     ideal_observables,
@@ -177,3 +179,31 @@ def test_werner_measure_three_outcomes_is_total_variation(lam):
     u = t.unit_effect
     approx = Observable(t, [lam * e + (1 - lam) / 3 * u for e in ideal.effects])
     assert werner_measure(approx, ideal) == pytest.approx(2 / 3 * (1 - lam), abs=1e-9)
+
+
+def test_werner_measure_cyclic_metric_matches_highs():
+    # four outcomes on a 4-cycle, so the Lipschitz ball is not the l1 one;
+    # HiGHS maximizes |h.delta| over both signs, the library solves one LP
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    t = make_disc()
+    angles = np.arange(4) * math.pi / 2
+    d = cyclic_metric(4)
+    ideal = Observable(t, [0.25 * t.disc_state(a) for a in angles], metric=d)
+    rng = np.random.default_rng(35)
+    rows = [r for a, b in itertools.combinations(range(4), 2)
+            for r in (np.eye(4)[a] - np.eye(4)[b], np.eye(4)[b] - np.eye(4)[a])]
+    rhs = [d[a, b] for a, b in itertools.combinations(range(4), 2) for _ in (0, 1)]
+    for _ in range(3):
+        weights = rng.dirichlet(np.ones(4), size=4)  # row i mixes into outcome i
+        approx = Observable(t, [sum(weights[j, i] * ideal.effects[j] for j in range(4))
+                                for i in range(4)])
+        gaps = np.array(approx.effects) - np.array(ideal.effects)
+        want = 0.0
+        for w in t.cone_states():
+            for sign in (1.0, -1.0):
+                res = linprog(-sign * (gaps @ w), A_ub=np.array(rows), b_ub=rhs,
+                              A_eq=np.eye(4)[:1], b_eq=[0.0], bounds=(None, None),
+                              method="highs")
+                assert res.status == 0
+                want = max(want, -res.fun)
+        assert werner_measure(approx, ideal) == pytest.approx(want, abs=1e-9)

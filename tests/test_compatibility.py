@@ -24,6 +24,8 @@ from gpt_lab.gpt_core import is_effect, make_disc, make_polygon, make_simplex
 from gpt_lab.observables import Observable, fuzz, ideal_observables, marginals
 
 SQ2INV = 1.0 / math.sqrt(2.0)
+# HiGHS oracles decide feasibility at the kernel's TOL, not at their default 1e-7
+HIGHS_TOL = {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9}
 
 
 def _bloch_prob(w, m, r):
@@ -296,7 +298,7 @@ def test_degree_lp_matches_highs(n):
         c = np.zeros(a_eq.shape[1])
         c[-1] = -1.0
         res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq,
-                      b_eq=half, bounds=(None, None), method="highs")
+                      b_eq=half, bounds=(None, None), method="highs", options=HIGHS_TOL)
         assert res.status == 0
         lam, _ = degree_of_incompatibility(f, g)
         assert lam == pytest.approx(min(1.0, res.x[-1]), abs=1e-9)
@@ -444,7 +446,8 @@ def test_slice_lp_verdicts_match_highs():
             a_eq, b_eq = _joint_equalities(t, ff, gg)
             a_ub = _cone_rows(t, 4)
             res = linprog(np.zeros(a_eq.shape[1]), A_ub=a_ub, b_ub=np.zeros(len(a_ub)),
-                          A_eq=a_eq, b_eq=b_eq, bounds=(None, None), method="highs")
+                          A_eq=a_eq, b_eq=b_eq, bounds=(None, None), method="highs",
+                          options=HIGHS_TOL)
             assert res.status in (0, 2)
             assert are_compatible(ff, gg)[0] == (res.status == 0), (t, lam, lam_star)
             incompatible += res.status == 2

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import errors, given, reject, settings
+from hypothesis import errors, example, given, reject, settings
 from hypothesis import strategies as st
 
 from gpt_lab.numerics import (
@@ -244,7 +244,9 @@ def _highs_status(p):
         A_ub=p.a_ub, b_ub=p.b_ub, A_eq=p.a_eq, b_eq=p.b_eq,
         bounds=(None, None),
         method="highs",
-        options={"presolve": False},  # presolve misreports some unbounded LPs
+        # presolve misreports some unbounded LPs; the tolerances are the kernel's TOL
+        options={"presolve": False, "primal_feasibility_tolerance": 1e-9,
+                 "dual_feasibility_tolerance": 1e-9},
     )
     if res.status in (1, 4):
         reject()
@@ -317,6 +319,8 @@ def test_lp_matches_highs_on_small_lps(case):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.3, 1.0), st.floats(0.0, 2 * math.pi),
        st.floats(0.3, 1.0), st.floats(0.0, 2 * math.pi))
+@example(1.0, 0.0, 1.0, 1e-7)  # sharp observables 1e-7 rad apart: infeasible at TOL
+@example(1.0, 0.0, 1.0, 1e-8)
 def test_lp_matches_highs_on_disc_cut_lps(ta, pa, tb, pb):
     from gpt_lab.compatibility import _cone_rows, _joint_equalities, disc_axis_observable
     from gpt_lab.gpt_core import make_disc

@@ -34,6 +34,8 @@ from gpt_lab.uncertainty import (
 )
 
 SQ2INV = 1.0 / math.sqrt(2.0)
+# HiGHS oracles decide feasibility at the kernel's TOL, not at their default 1e-7
+HIGHS_TOL = {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9}
 
 
 def coin(t):
@@ -203,7 +205,7 @@ def test_werner_measure_cyclic_metric_matches_highs():
             for sign in (1.0, -1.0):
                 res = linprog(-sign * (gaps @ w), A_ub=np.array(rows), b_ub=rhs,
                               A_eq=np.eye(4)[:1], b_eq=[0.0], bounds=(None, None),
-                              method="highs")
+                              method="highs", options=HIGHS_TOL)
                 assert res.status == 0
                 want = max(want, -res.fun)
         assert werner_measure(approx, ideal) == pytest.approx(want, abs=1e-9)

@@ -522,25 +522,19 @@ def sample_feasible_joints(f: Observable, g: Observable, count: int, seed: int =
 
     Only the unit-sum constraint is imposed: any joint is an admissible
     approximator of the pair.  On the disc the effect cone is shrunk by
-    cos(pi/DISC_SAMPLES) so every sampled cell is exactly valid.
+    cos(pi/DISC_SAMPLES) so every sampled cell is exactly valid.  A vertex
+    LP that fails its check raises ``LpNumericalError``.
     """
     theory = f.theory
     na, nb = len(f.effects), len(g.effects)
     a_eq, b_eq = _joint_equalities(theory, f, g, states=())
     rng = np.random.default_rng(seed)
     vertices = []
-    n_vertex = max(2, (count + 1) // 2)
-    attempts = 0
-    while len(vertices) < n_vertex:
-        if attempts > 4 * n_vertex + 20:
-            raise RuntimeError("vertex sampling kept hitting degraded solves")
-        attempts += 1
+    for _ in range(max(2, (count + 1) // 2)):
         c = rng.normal(size=a_eq.shape[1])
         ok, x = _joint_lp(theory, na * nb, a_eq, b_eq, c, inner=True)
-        # long degenerate pivot sequences can degrade the tableau; the
-        # solve is then undecided, and another objective is drawn
         if ok is None:
-            continue
+            raise LpNumericalError("a vertex-sampling LP failed its check")
         if x is None:
             raise ValueError("pair admits no joint observable under these cuts")
         vertices.append(x)

@@ -1,38 +1,53 @@
-"""Small self-contained numerical kernel: dense LP solver, bisection, entropy.
+"""Small self-contained numerical kernel: LP solver, bisection, entropy.
 
-The LP solver is a dense two-phase simplex over free variables.  Every
-problem in this package is tiny (at most a few hundred rows), so
-determinism and simplicity win over sparse machinery.
+The LP solver is an active-set simplex over free variables.  Every problem
+in this package is small (a few hundred rows, at most a dozen or so free
+columns), so determinism and simplicity win over sparse machinery.
 
 Every LP is solved on the affine slice of its equality rows: one SVD of
 A_eq gives a least-squares solution x0 and a basis N of the null space
 (singular values up to ``TOL`` times the largest count as zero), and the
-simplex runs on the inequality rows in the slice coordinates z of
-x = x0 + N z, (A_ub N) z <= b_ub - A_ub x0.  When the lstsq residual
-r = b_eq - A_eq x0 exceeds TOL (1 + |b_eq|) the LP is "infeasible" with no
-pivot: r.A_eq = 0 and r.b_eq = |r|^2 > 0, so r is its own Farkas vector.
-Phase 1 starts from the slack basis and needs artificial variables only
-for the rows whose right-hand side is negative.  With no equality rows,
-x0 = 0 and N = I.  The pivot rules:
+simplex runs in z, x = x0 + N z, on A z <= b with A = A_ub N and
+b = b_ub - A_ub x0.  When the lstsq residual r = b_eq - A_eq x0 exceeds
+TOL (1 + |b_eq|) the LP is "infeasible" with no iteration: r.A_eq = 0 and
+r.b_eq = |r|^2 > 0, so -r is a Farkas vector.
 
-- entering: Bland's rule, the first column with reduced cost below -``TOL``
-  (1e-9);
-- ratio test: only rows whose column entry exceeds ``PIVOT_TOL`` (1e-7) can
-  leave, so no pivot ever lands on a round-off-sized entry;
-- leaving: among the rows tied at the minimum ratio (within a 1e-12 relative
-  window), those whose pivot is below ``TIE_PIVOT_FRAC`` (1e-3) times the
-  largest tied pivot are dropped, and the smallest basis index wins among
-  the rest.
+The basis B holds as many rows as z has columns, and its point is where they
+hold with equality.  Each iteration refactors A_B from the original rows,
+takes z = A_B^-1 b_B and y_B = -A_B^-T c, releases a row whose multiplier is
+negative and follows the edge it opens until a row blocks.  The basis
+starts from coordinate rows z_j <= 0 standing in for the free variables; one
+leaves at a multiplier of either sign and never returns.  So a polyhedron
+with a line keeps the coordinate rows across it, which splits z into the
+span of the basis rows and the lineality space: at multiplier zero they do
+not move the verdict, and an objective with a component along the line
+releases one with no row to block it, so the LP is unbounded.
 
-Every verdict of the simplex is checked before it is returned.
-"infeasible" needs the phase-1 dual y (a Farkas certificate for the slice)
-to satisfy max(y.A) <= TOL and y.b > TOL on the sign-normalized rows;
-"feasible" and "optimal" need x to meet every original equality and
-inequality within TOL (1 + |rhs|); "unbounded" needs the ray d of the
-entering column, mapped back to x, to have |A_eq d| <= TOL, A_ub d <= TOL
-and c.d < -TOL.  A verdict that fails its check raises ``LpNumericalError``
-instead of being returned.  Each solve logs one debug line with the shape
-of the LP as posed and of its tableau.
+Phase 1 minimizes t over A z - t <= b, t >= 0 from z = 0, t = -min b; it is
+skipped when b >= 0, so an LP with no objective then returns z = 0 with no
+iteration.  An optimum t* > TOL makes the LP "infeasible", and its
+multipliers y >= 0 (sum 1, y.A = 0, y.b = -t*) are the Farkas vector.  A step
+onto t = 0 ends phase 1, and phase 2 minimizes c.z from the basis less the
+row that step released (at an optimum t* <= TOL, less the row of largest
+multiplier).  The pivot rules:
+
+- released row: Bland's rule, coordinate rows first, then the smallest row
+  index whose multiplier is below -``TOL`` (1e-9);
+- ratio test: only rows whose entry along the edge exceeds ``PIVOT_TOL``
+  (1e-7) can block, so no pivot lands on a round-off-sized entry; t >= 0,
+  whose entry is the rate at which t falls (above TOL), always can;
+- blocking row: among the rows tied at the minimum ratio (1e-12 relative
+  window), those whose entry is below ``TIE_PIVOT_FRAC`` (1e-3) times the
+  largest tied entry are dropped, and the smallest index wins.
+
+Every verdict is checked against the original rows.  "infeasible" returns
+y = (mu, y_ub) in ``LpResult.y``, mu = -(y_ub.A_ub) A_eq^+, and needs
+|y.A| <= TOL and y.b < -TOL for A and b stacking all rows; "feasible" and
+"optimal" need x to meet every row within TOL (1 + |rhs|); "unbounded" needs
+the edge d, mapped to x, to have |A_eq d| <= TOL, A_ub d <= TOL and
+c.d < -TOL.  A verdict that fails its check raises ``LpNumericalError``.
+Each solve logs one debug line: the LP as posed, its z columns, the pivots
+of each phase and the refactorizations.
 """
 
 from __future__ import annotations
@@ -93,53 +108,64 @@ class LinearProgram:
 
 @dataclass
 class LpResult:
+    """``y`` is the Farkas vector of an "infeasible" verdict: the multipliers
+    of the equality rows, then of the inequality rows."""
+
     status: str  # "optimal" | "feasible" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     value: float | None = None
+    y: np.ndarray | None = None
 
 
-def _pivot(tab: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
-    """Pivot on entry (r, j): a rank-1 update restricted to the nonzero
-    columns of the pivot row."""
-    prow = tab[r] / tab[r, j]
-    nz = prow.nonzero()[0]
-    colvals = tab[:, j].copy()
-    colvals[r] = 0.0
-    tab[:, nz] -= colvals[:, None] * prow[nz]
-    tab[r] = prow
-    tab[:, j] = 0.0
-    tab[r, j] = 1.0
-    basis[r] = j
-
-
-def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int) -> str:
-    """Run simplex pivots on tableau ``tab`` (objective in the last row,
-    rhs in the last column) with the pivot rules of the module docstring."""
-    m = tab.shape[0] - 1
-    red = tab[-1, :ncols]
-    for _ in range(50 * (m + ncols) + 1000):
-        below = red < -TOL
-        if not below.any():
-            return "optimal"
-        enter = int(below.argmax())
-        col = tab[:m, enter]
-        rows = (col > PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
-            return "unbounded"
-        ratios = tab[rows, -1] / col[rows]
+def _active_set(g, h, c, basis, nfree, phase, counts):
+    """Minimize c.v over g v <= h by the active-set simplex of the module
+    docstring, from the point of ``basis`` (sorted row indices; the first
+    ``nfree`` rows of g are coordinate rows).  In phase 1 (``phase`` 0) the
+    last row is t >= 0, and a step onto t = 0 ends the run with that step's
+    basis, less the row it released.  Adds the pivots to ``counts[phase]``
+    and the refactorizations to ``counts[2]``.  Returns (status, basis,
+    point, -y_B or the edge of an unbounded verdict)."""
+    rows, rhs = g[nfree:], h[nfree:]
+    floor = PIVOT_TOL
+    if phase == 0:
+        floor = np.full(len(rows), PIVOT_TOL)
+        floor[-1] = 0.0
+    free = int((basis < nfree).sum())
+    for _ in range(50 * len(g) + 1000):
+        counts[2] += 1
+        inv = np.linalg.inv(g[basis])
+        v = inv @ h[basis]
+        u = c @ inv
+        out = u > TOL
+        if free:
+            out[:free] |= u[:free] < -TOL
+        k = out.argmax()
+        if not out[k]:
+            return "optimal", basis, v, u
+        edge = -inv[:, k] if u[k] > 0 else inv[:, k]
+        along = rows @ edge
+        cand = (along > floor).nonzero()[0]
+        if not cand.size:
+            return "unbounded", basis, v, edge
+        ratios = np.maximum((rhs - rows @ v)[cand], 0.0) / along[cand]
         best = ratios.min()
-        tied = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        piv = col[tied]
-        tied = tied[piv >= TIE_PIVOT_FRAC * piv.max()]
-        _pivot(tab, basis, int(tied[basis[tied].argmin()]), enter)
+        tied = cand[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        counts[phase] += 1
+        if phase == 0 and tied[-1] == len(rows) - 1:
+            return "optimal", np.delete(basis, k), v + best * edge, None
+        if len(tied) > 1:
+            piv = along[tied]
+            tied = tied[piv >= TIE_PIVOT_FRAC * piv.max()]
+        free -= k < free
+        basis[k] = tied[0] + nfree
+        basis.sort()
     raise RuntimeError("simplex iteration limit exceeded")
 
 
 def solve_lp(p: LinearProgram) -> LpResult:
-    """Two-phase dense simplex on the slice of the equality rows (see the
-    module docstring).  Every slice coordinate is free and is split into a
-    plus and a minus column.  Raises LpNumericalError when a verdict fails
-    its certificate check at tolerance ``TOL``."""
+    """Active-set simplex on the slice of the equality rows (see the module
+    docstring).  Raises LpNumericalError when a verdict fails its check at
+    tolerance ``TOL``."""
     p.validate()
     n = p.n_vars
 
@@ -149,99 +175,68 @@ def solve_lp(p: LinearProgram) -> LpResult:
         return np.asarray(a, dtype=float), np.asarray(b, dtype=float).reshape(-1)
 
     (a_eq, b_eq), (a_ub, b_ub) = block(p.a_eq, p.b_eq), block(p.a_ub, p.b_ub)
+    c = None if p.objective is None else np.asarray(p.objective, dtype=float)
     # x = x0 + N z: x0 the least-squares solution of the equality rows and N
     # a basis of their null space, from one SVD
-    u, s, vt = np.linalg.svd(a_eq)
-    rank = int((s > TOL * s.max(initial=0.0)).sum())
-    x0 = vt[:rank].T @ (u[:, :rank].T @ b_eq / s[:rank])
+    left, sv, vt = np.linalg.svd(a_eq)
+    rank = int((sv > TOL * sv.max(initial=0.0)).sum())
+    x0 = vt[:rank].T @ (left[:, :rank].T @ b_eq / sv[:rank])
     null = vt[rank:].T
     nz, m = null.shape[1], len(a_ub)
-    log.debug("LP posed %d+%d rows x %d vars, tableau %d rows x %d z columns",
-              len(a_eq), m, n, m, nz)
-    if np.any(np.abs(a_eq @ x0 - b_eq) > TOL * (1.0 + np.abs(b_eq))):
-        # the residual r has r.A_eq = 0 and r.b_eq = |r|^2 > 0: a Farkas vector
-        return LpResult("infeasible")
-    col_of = 2 * np.arange(nz)
-    minus = col_of + 1
-    ncols = 2 * nz
-    total = ncols + m
+    counts = [0, 0, 0]  # phase-1 and phase-2 pivots, refactorizations
 
-    # sign-normalized rows [A N | -A N | slack identity] z' = b - A x0 >= 0
-    a = a_ub @ null
-    amat = np.zeros((m, total))
-    amat[:, col_of] = a
-    amat[:, minus] = -a
-    amat[np.arange(m), np.arange(ncols, total)] = 1.0
-    bvec = b_ub - a_ub @ x0
-    neg = bvec < 0
-    amat[neg] *= -1.0
-    bvec[neg] *= -1.0
+    def verdict(status, **kwargs):
+        log.debug("LP posed %d+%d rows x %d vars, %d z columns, %d+%d iterations, "
+                  "%d refactors", len(a_eq), m, n, nz, *counts)
+        return LpResult(status, **kwargs)
 
-    # phase 1: a slack column starts in the basis of its row unless the
-    # row's rhs was negative; only those rows get artificial variables
-    art_rows = neg.nonzero()[0]
-    n_art = art_rows.size
-    basis0 = ncols + np.arange(m)
-    basis0[art_rows] = total + np.arange(n_art)
-
-    tab = np.zeros((m + 1, total + n_art + 1))
-    tab[:m, :total] = amat
-    tab[:m, -1] = bvec
-    tab[art_rows, basis0[art_rows]] = 1.0
-    tab[-1, total:-1] = 1.0
-    tab[-1] -= tab[art_rows].sum(axis=0)
-    basis = basis0.copy()
-    if _simplex(tab, basis, total + n_art) != "optimal":
-        raise LpNumericalError("phase 1 reported an unbounded sum of artificials")
-    if -tab[-1, -1] > TOL:
-        # Farkas certificate: y.A' <= 0 on every column while y.b' > 0
-        y = neg - tab[-1, basis0]
-        if (y @ amat).max(initial=0.0) > TOL or y @ bvec <= TOL:
-            raise LpNumericalError("phase-1 infeasibility certificate fails")
-        return LpResult("infeasible")
-
-    # drive remaining artificials out of the basis, then drop their rows
-    for i in (basis >= total).nonzero()[0]:
-        j = int(np.argmax(np.abs(tab[i, :total])))
-        if abs(tab[i, j]) > PIVOT_TOL:
-            _pivot(tab, basis, i, j)
-    keep = (basis < total).nonzero()[0]
-    tab2 = np.zeros((keep.size + 1, total + 1))
-    tab2[:-1, :total] = tab[keep, :total]
-    tab2[:-1, -1] = tab[keep, -1]
-    basis2 = basis[keep]
-
-    if p.objective is not None:
-        c = np.asarray(p.objective, dtype=float)
-        cz = c @ null
-        cfull = np.zeros(total)
-        cfull[col_of] = cz
-        cfull[minus] = -cz
-        tab2[-1, :total] = cfull
-        tab2[-1] -= cfull[basis2] @ tab2[:-1]
-        if _simplex(tab2, basis2, total) == "unbounded":
-            # the ray of the entering column must pass the original rows
-            enter = int((tab2[-1, :total] < -TOL).argmax())
-            dfull = np.zeros(total)
-            dfull[enter] = 1.0
-            dfull[basis2] = -tab2[:-1, enter]
-            d = null @ (dfull[col_of] - dfull[minus])
+    resid = b_eq - a_eq @ x0
+    if np.any(np.abs(resid) > TOL * (1.0 + np.abs(b_eq))):
+        return verdict("infeasible", y=np.concatenate([-resid, np.zeros(m)]))
+    # rows of (z, t): the coordinate rows z_j <= 0, A z - t <= b and -t <= 0;
+    # phase 2 drops the t column and the last row
+    g = np.zeros((nz + m + 1, nz + 1))
+    g[:nz, :nz] = np.eye(nz)
+    g[nz:-1, :nz] = a_ub @ null
+    g[nz:, nz] = -1.0
+    h = np.zeros(nz + m + 1)
+    h[nz:-1] = b_ub - a_ub @ x0
+    basis, z, row = np.arange(nz), np.zeros(nz), h.argmin()
+    if h[row] < 0.0:
+        _, basis, v, u = _active_set(g, h, np.eye(nz + 1)[nz], np.append(basis, row),
+                                     nz, 0, counts)
+        if len(basis) > nz:  # phase 1 ended at an optimum off t = 0
+            if v[nz] > TOL:
+                # the phase-1 multipliers, with mu on the equality rows
+                y = np.zeros(m)
+                y[basis[basis >= nz] - nz] = np.maximum(-u[basis >= nz], 0.0)
+                w = y @ a_ub
+                mu = -(w @ vt[:rank].T / sv[:rank]) @ left[:, :rank].T
+                if (np.abs(w + mu @ a_eq).max(initial=0.0) > TOL
+                        or mu @ b_eq + y @ b_ub >= -TOL):
+                    raise LpNumericalError("phase-1 infeasibility certificate fails")
+                return verdict("infeasible", y=np.concatenate([mu, y]))
+            basis = np.delete(basis, np.abs(u).argmax())
+        z = v[:nz]
+    if c is not None and nz:
+        status, basis, z, edge = _active_set(g[:-1, :nz], h[:-1], c @ null, basis, nz, 1,
+                                             counts)
+        if status == "unbounded":
+            # the edge, mapped back to x, must be a ray of the original rows
+            d = null @ edge
             if (np.abs(a_eq @ d).max(initial=0.0) > TOL
                     or (a_ub @ d).max(initial=0.0) > TOL or c @ d >= -TOL):
                 raise LpNumericalError("phase-2 unbounded ray fails its check")
-            return LpResult("unbounded")
-
-    xfull = np.zeros(total)
-    xfull[basis2] = tab2[:-1, -1]
-    x = x0 + null @ (xfull[col_of] - xfull[minus]) + 0.0  # no entry comes back as -0.0
+            return verdict("unbounded")
+    x = x0 + null @ z + 0.0  # no entry comes back as -0.0
     # primal check against the original rows
     resid = np.concatenate([np.abs(a_eq @ x - b_eq), a_ub @ x - b_ub])
     worst = np.max(resid / (1.0 + np.abs(np.concatenate([b_eq, b_ub]))), initial=0.0)
     if worst > TOL:
         raise LpNumericalError(f"LP point misses its constraints by {worst:.2e}")
-    if p.objective is not None:
-        return LpResult("optimal", x=x, value=float(c @ x))
-    return LpResult("feasible", x=x)
+    if c is not None:
+        return verdict("optimal", x=x, value=float(c @ x))
+    return verdict("feasible", x=x)
 
 
 def bisect(f, lo: float, hi: float, tol: float = 1e-9) -> float:

@@ -158,7 +158,7 @@ BENCH_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "cli_config.json"
         (["incompat-scan"],
          "140ab45b0d9c510e8bff8fd5db50c773848634d2ada860c47bb88510f0705198"),
         (["mur-properties", "--seed", "0"],
-         "8bd29e2c2c4a038cde5622582a443864286f6669388b645880f9f9870cdb94a5"),
+         "5d95de475a556fd12a1dd25bbf547aaf7138cc6cdced5ec1efcaaf2cbf609125"),
     ],
     ids=["incompat-scan", "mur-properties"],  # stable across re-pins
 )

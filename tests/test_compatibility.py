@@ -385,16 +385,17 @@ def test_joint_lps_solve_on_the_slice(t, monkeypatch):
     from gpt_lab import compatibility, numerics
     from gpt_lab.numerics import TOL
 
-    events, runs = [], []  # each posed LP, then the row count of each tableau
-    solve, simplex, joint_lp = compatibility.solve_lp, numerics._simplex, compatibility._joint_lp
+    events, runs = [], []  # each posed LP, then the shape of each simplex run on it
+    solve, active_set, joint_lp = (compatibility.solve_lp, numerics._active_set,
+                                   compatibility._joint_lp)
 
     def posed(p):
         events.append(p)
         return solve(p)
 
-    def tableau(tab, basis, ncols):
-        events.append(tab.shape[0])
-        return simplex(tab, basis, ncols)
+    def simplex(g, h, c, basis, nfree, phase, counts):
+        events.append((g.shape, nfree, phase))
+        return active_set(g, h, c, basis, nfree, phase, counts)
 
     def recorded(theory, ncells, a_eq, b_eq, *args, **kwargs):
         ok, x = joint_lp(theory, ncells, a_eq, b_eq, *args, **kwargs)
@@ -402,7 +403,7 @@ def test_joint_lps_solve_on_the_slice(t, monkeypatch):
         return ok, x
 
     monkeypatch.setattr(compatibility, "solve_lp", posed)
-    monkeypatch.setattr(numerics, "_simplex", tableau)
+    monkeypatch.setattr(numerics, "_active_set", simplex)
     monkeypatch.setattr(compatibility, "_joint_lp", recorded)
     f, g = _pair_on(t)
     assert are_compatible(f, g)[0] is not None
@@ -410,11 +411,19 @@ def test_joint_lps_solve_on_the_slice(t, monkeypatch):
     assert s0_compatible(f, g, StateSubset(t.cone_states()[:2]))[0] is not None
     degree_of_incompatibility(f, g)
     sample_feasible_joints(f, g, 4, seed=1)
-    lps = [i for i, e in enumerate(events) if isinstance(e, numerics.LinearProgram)]
-    assert lps
-    for i in lps:  # phase 1 has a row per inequality, none per equality
-        p, rows = events[i], events[i + 1]
-        assert p.a_eq is not None and rows == len(p.a_ub) + 1
+    assert isinstance(events[0], numerics.LinearProgram)
+    simplex_runs = 0
+    for e in events:
+        if isinstance(e, numerics.LinearProgram):
+            p = e
+            continue
+        # the simplex sees the coordinate rows of z and one row per
+        # inequality (phase 1 adds t >= 0 and a t column), none per equality
+        (rows, cols), nfree, phase = e
+        assert p.a_eq is not None and nfree < p.n_vars
+        assert (rows, cols) == (nfree + len(p.a_ub) + (phase == 0), nfree + (phase == 0))
+        simplex_runs += 1
+    assert simplex_runs
     points = [(a_eq, b_eq, x) for a_eq, b_eq, x in runs if x is not None]
     assert len(points) >= 4
     for a_eq, b_eq, x in points:  # every returned joint meets its marginals

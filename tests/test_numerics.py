@@ -71,8 +71,8 @@ def test_lp_unbounded():
 
 
 def test_lp_unbounded_needs_a_checked_ray():
-    # every positive entry of the entering column is below PIVOT_TOL, so the
-    # ratio test finds no leaving row, yet x <= 1e8 bounds the LP: the ray
+    # the row's entry along the edge opened by releasing z_0 <= 0 is below
+    # PIVOT_TOL, so no row blocks it, yet x <= 1e8 bounds the LP: the ray
     # d = 1 has A_ub d = 1e-8 > TOL and is rejected
     p = LinearProgram(1, objective=np.array([-1.0]), a_ub=np.array([[1e-8]]),
                       b_ub=np.array([1.0]))
@@ -91,24 +91,96 @@ def test_inconsistent_equality_rows_are_infeasible_without_a_pivot(monkeypatch):
     from gpt_lab.gpt_core import make_polygon
     from gpt_lab.observables import ideal_observables
 
-    tableaus = []
-    simplex = numerics._simplex
+    runs = []
+    active_set = numerics._active_set
 
-    def counted(tab, basis, ncols):
-        tableaus.append(tab.shape)
-        return simplex(tab, basis, ncols)
+    def counted(*args):
+        runs.append(args)
+        return active_set(*args)
 
-    monkeypatch.setattr(numerics, "_simplex", counted)
+    monkeypatch.setattr(numerics, "_active_set", counted)
     # x + y = 1 and 2x + 2y = 3: the lstsq residual is its own Farkas vector
     p = LinearProgram(2, a_eq=np.array([[1.0, 1.0], [2.0, 2.0]]), b_eq=np.array([1.0, 3.0]),
                       a_ub=-np.eye(2), b_ub=np.zeros(2))
-    assert solve_lp(p).status == "infeasible"
+    r = solve_lp(p)
+    assert r.status == "infeasible" and _is_farkas(p, r.y)
     t = make_polygon(5)
     f, g = [o for o in ideal_observables(t) if len(o) == 2][:2]
     a_eq, b_eq = _joint_equalities(t, f, g)
     b_eq = b_eq + 1e-3 * (np.arange(len(b_eq)) == 0)  # f's marginals no longer sum to u
     assert _joint_lp(t, 4, a_eq, b_eq) == (False, None)
-    assert tableaus == []
+    assert runs == []
+
+
+def _is_farkas(p, y):
+    """Whether y = (mu, y_ub) proves ``p`` infeasible, by matrix products
+    with its original rows only: y_ub >= 0, |y.A| <= 1e-9 and y.b < -1e-9."""
+    a = np.vstack([m for m in (p.a_eq, p.a_ub) if m is not None])
+    b = np.concatenate([v for v in (p.b_eq, p.b_ub) if v is not None])
+    m_eq = 0 if p.a_eq is None else len(p.a_eq)
+    return bool(np.all(y[m_eq:] >= 0.0) and np.abs(y @ a).max() <= 1e-9 and y @ b < -1e-9)
+
+
+def _assert_certificate(p, y):
+    """``y`` proves ``p`` infeasible, and the check rejects it with its sign
+    flipped or its largest entry dropped."""
+    assert _is_farkas(p, y)
+    assert not _is_farkas(p, -y)
+    dropped = y.copy()
+    dropped[np.abs(y).argmax()] = 0.0
+    assert not _is_farkas(p, dropped)
+
+
+# a strip |x_0| <= 1 contains every line along x_1
+_STRIP = dict(a_ub=np.array([[1.0, 0.0], [-1.0, 0.0]]), b_ub=np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("objective, status", [
+    ([1.0, -1.0], "unbounded"),  # a component along the line
+    ([0.0, 1.0], "unbounded"),
+    ([1.0, 0.0], "optimal"),  # orthogonal to the line: x_0 = -1
+    (None, "feasible"),
+])
+def test_lp_over_a_polyhedron_with_a_line(objective, status):
+    c = None if objective is None else np.array(objective)
+    r = solve_lp(LinearProgram(2, objective=c, **_STRIP))
+    assert r.status == status
+    if status == "optimal":
+        assert r.value == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_infeasible_lp_with_a_line_returns_its_certificate():
+    # 1 <= x_0 - x_1 <= 0 in the plane, and also with x_2 pinned by an
+    # equality row: every polyhedron contains the line x_0 = x_1
+    p = LinearProgram(2, a_ub=np.array([[-1.0, 1.0], [1.0, -1.0]]), b_ub=np.array([-1.0, 0.0]))
+    r = solve_lp(p)
+    assert r.status == "infeasible"
+    _assert_certificate(p, r.y)
+    p = LinearProgram(3, a_eq=np.array([[0.0, 0.0, 2.0]]), b_eq=np.array([1.0]),
+                      a_ub=np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 1.0]]),
+                      b_ub=np.array([-1.0, 0.5]))
+    r = solve_lp(p)
+    assert r.status == "infeasible"
+    _assert_certificate(p, r.y)
+
+
+@pytest.mark.parametrize("kind", ["P4", "S3"])
+def test_trivial_pair_degree_lp_is_unbounded_along_its_line(kind):
+    # the pair {u/2, u/2} leaves the noise weight lambda out of every row
+    from gpt_lab.compatibility import _cone_rows, _joint_equalities
+    from gpt_lab.gpt_core import make_polygon, make_simplex
+    from gpt_lab.observables import Observable
+
+    t = make_polygon(4) if kind == "P4" else make_simplex(3)
+    trivial = Observable(t, [0.5 * t.unit_effect, 0.5 * t.unit_effect])
+    a_eq, b_eq = _joint_equalities(t, trivial, trivial)
+    half = np.tile(0.5 * t.unit_effect, 4)
+    a_eq = np.column_stack([a_eq, half - b_eq])
+    assert not a_eq[:, -1].any()
+    a_ub = np.hstack([_cone_rows(t, 4), np.zeros((4 * len(t.cone_states()), 1))])
+    c = -np.eye(a_eq.shape[1])[-1]
+    p = LinearProgram(a_eq.shape[1], c, a_eq, half, a_ub, np.zeros(len(a_ub)))
+    assert solve_lp(p).status == "unbounded"
 
 
 def test_rows_dependent_up_to_round_off_keep_their_null_direction():
@@ -123,13 +195,21 @@ def test_rows_dependent_up_to_round_off_keep_their_null_direction():
     assert solve_lp(p).status == "unbounded"
 
 
-def test_lp_logs_posed_and_tableau_shape(caplog):
+def test_lp_logs_posed_shape_and_loop_counters(caplog):
     caplog.set_level(logging.DEBUG, logger="gpt_lab")
-    p = LinearProgram(3, objective=np.array([1.0, 0.0, 0.0]), a_eq=np.array([[1.0, 1.0, 1.0]]),
-                      b_eq=np.array([1.0]), a_ub=-np.eye(3), b_ub=np.zeros(3))
-    assert solve_lp(p).status == "optimal"
+    simplex = dict(a_eq=np.array([[1.0, 1.0, 1.0]]), b_eq=np.array([1.0]), a_ub=-np.eye(3))
+    # z = 0 (x uniform) is feasible: no phase 1, and phase 2 releases one
+    # coordinate row
+    assert solve_lp(LinearProgram(3, np.array([1.0, 0.0, 0.0]), b_ub=np.zeros(3),
+                                  **simplex)).status == "optimal"
+    # x_0 >= 1/2 cuts z = 0 off: one phase-1 step reaches t = 0
+    assert solve_lp(LinearProgram(3, b_ub=np.array([-0.5, 0.0, 0.0]),
+                                  **simplex)).status == "feasible"
     lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-    assert lines == ["LP posed 1+3 rows x 3 vars, tableau 3 rows x 2 z columns"]
+    assert lines == [
+        "LP posed 1+3 rows x 3 vars, 2 z columns, 0+1 iterations, 2 refactors",
+        "LP posed 1+3 rows x 3 vars, 2 z columns, 1+0 iterations, 1 refactors",
+    ]
 
 
 def test_lp_feasibility_only():
@@ -316,12 +396,16 @@ def test_lp_matches_highs_on_small_lps(case):
         assert r.value == pytest.approx(value, abs=1e-7 * (1.0 + abs(value)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.floats(0.3, 1.0), st.floats(0.0, 2 * math.pi),
-       st.floats(0.3, 1.0), st.floats(0.0, 2 * math.pi))
-@example(1.0, 0.0, 1.0, 1e-7)  # sharp observables 1e-7 rad apart: infeasible at TOL
-@example(1.0, 0.0, 1.0, 1e-8)
-def test_lp_matches_highs_on_disc_cut_lps(ta, pa, tb, pb):
+@settings(max_examples=60, deadline=None)
+@given(_small_lps().filter(lambda case: case[0] == "infeasible"))
+def test_infeasible_small_lps_return_a_farkas_vector(case):
+    _, p = case
+    r = solve_lp(p)
+    assert r.status == "infeasible"
+    _assert_certificate(p, r.y)
+
+
+def _disc_outer_cone_lp(ta, pa, tb, pb):
     from gpt_lab.compatibility import _cone_rows, _joint_equalities, disc_axis_observable
     from gpt_lab.gpt_core import make_disc
 
@@ -329,7 +413,29 @@ def test_lp_matches_highs_on_disc_cut_lps(ta, pa, tb, pb):
     f, g = disc_axis_observable(t, ta, pa), disc_axis_observable(t, tb, pb)
     a_eq, b_eq = _joint_equalities(t, f, g)
     a_ub = _cone_rows(t, 4)
-    p = LinearProgram(12, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=np.zeros(len(a_ub)))
+    return LinearProgram(12, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=np.zeros(len(a_ub)))
+
+
+def test_infeasible_disc_outer_cone_lps_return_a_farkas_vector():
+    rng = np.random.default_rng(38)
+    infeasible = 0
+    for ta, pa, tb, pb in zip(*rng.uniform([0.6, 0, 0.6, 0], [1, 2 * math.pi, 1, 2 * math.pi],
+                                           size=(60, 4)).T):
+        p = _disc_outer_cone_lp(ta, pa, tb, pb)
+        r = solve_lp(p)
+        if r.status == "infeasible":
+            infeasible += 1
+            _assert_certificate(p, r.y)
+    assert infeasible >= 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.3, 1.0), st.floats(0.0, 2 * math.pi),
+       st.floats(0.3, 1.0), st.floats(0.0, 2 * math.pi))
+@example(1.0, 0.0, 1.0, 1e-7)  # sharp observables 1e-7 rad apart: infeasible at TOL
+@example(1.0, 0.0, 1.0, 1e-8)
+def test_lp_matches_highs_on_disc_cut_lps(ta, pa, tb, pb):
+    p = _disc_outer_cone_lp(ta, pa, tb, pb)
     assert solve_lp(p).status == _highs_status(p)[0]
 
 

@@ -83,7 +83,7 @@ class RunConfig:
     jobs: int = 0  # 0 -> logical core count
     trials: int = 100
     grid: int = 256
-    granularity: int = 180
+    granularity: int = 180  # accepted and checked, but no output reads it
     out: str | None = None
 
     def __post_init__(self):
@@ -209,9 +209,8 @@ def cmd_incompat_scan(config: RunConfig) -> str:
 # -- mixing-sweep --------------------------------------------------------
 
 
-def _mixing_row(arg) -> tuple:
-    n, granularity = arg
-    rep = consistency_check(make_polygon(n), granularity)
+def _mixing_row(n: int) -> tuple:
+    rep = consistency_check(make_polygon(n))
     if len(rep.entries) == 2:
         a, b = rep.entries[0][1], rep.entries[1][1]
         return (str(n), _fmt(a), _fmt(b), _fmt(rep.discrepancy), rep.verdict)
@@ -219,9 +218,8 @@ def _mixing_row(arg) -> tuple:
 
 
 def cmd_mixing_sweep(config: RunConfig) -> str:
-    args = [(n, config.granularity) for n in range(config.n_min, config.n_max + 1)]
-    rows = _pmap(_mixing_row, args, config.jobs)
-    disc_rep = consistency_check(make_disc(), config.granularity)
+    rows = _pmap(_mixing_row, list(range(config.n_min, config.n_max + 1)), config.jobs)
+    disc_rep = consistency_check(make_disc())
     rows.append(
         ("inf", "", "", _fmt(disc_rep.discrepancy), disc_rep.verdict)
     )

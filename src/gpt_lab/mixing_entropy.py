@@ -246,15 +246,19 @@ def _chord_decomposition(t: Theory, w: np.ndarray, a_xy, b_xy, cert) -> Decompos
 def enumerate_decompositions(t: Theory, w: StateVec, granularity: int = 720) -> list:
     """Decompositions of ``w`` into perfectly distinguishable families.
 
-    Pure states return the trivial singleton.  The disc returns diameter
-    decompositions (``granularity`` of them for the center, the unique one
-    otherwise).  Simplices return the vertex decomposition.  Polygons keep
-    every scanned chord whose two boundary endpoints form a distinguishable
-    pair; for n = 3 the full vertex decomposition is included as well.
-    The scan covers the chords through each vertex, and for even n also
-    ``granularity`` equally spaced directions.  ``granularity`` does not
-    apply to odd n: there a distinguishable pair needs a vertex endpoint,
-    so the chords through a vertex are all of them.
+    Pure states return the trivial singleton.  The disc returns the one
+    diameter through ``w``, at angle atan2(w_y, w_x) with weight
+    (1 + |w_xy|) / 2; at the centre that is the diameter at angle 0.  One is
+    exact: a distinguishable disc pair is antipodal, so every decomposition
+    of the centre is a rotation of this one with the same weights and
+    entropy, and an off-centre state lies on a single diameter.  Simplices
+    return the vertex decomposition.  Polygons keep every scanned chord
+    whose two boundary endpoints form a distinguishable pair; for n = 3 the
+    full vertex decomposition is included as well.  The scan covers the
+    chords through each vertex, and for even n also ``granularity`` equally
+    spaced directions.  ``granularity`` applies to even n only: for odd n a
+    distinguishable pair needs a vertex endpoint, so the chords through a
+    vertex are all of them.
     """
     if granularity < 1:
         raise ValueError("granularity must be positive")
@@ -264,24 +268,15 @@ def enumerate_decompositions(t: Theory, w: StateVec, granularity: int = 720) -> 
         return [Decomposition(w, fam, np.array([1.0]))]
 
     if t.kind == "Disc":
-        rad = math.hypot(wv[0], wv[1])
-        out = []
-        if rad <= 1e-12:
-            angles = [math.pi * k / granularity for k in range(granularity)]
-            weights = [0.5] * len(angles)
-        else:
-            angles = [math.atan2(wv[1], wv[0])]
-            weights = [(1.0 + rad) / 2.0]
-        for th, p in zip(angles, weights):
-            a = t.disc_state(th)
-            b = t.disc_state(th + math.pi)
-            e = 0.5 * a
-            fam = DistinguishableFamily(
-                [StateVec(t, a), StateVec(t, b)],
-                Observable(t, [e, t.unit_effect - e]),
-            )
-            out.append(Decomposition(w, fam, np.array([p, 1.0 - p])))
-        return out
+        th = math.atan2(wv[1], wv[0])
+        p = (1.0 + math.hypot(wv[0], wv[1])) / 2.0
+        a = t.disc_state(th)
+        e = 0.5 * a
+        fam = DistinguishableFamily(
+            [StateVec(t, a), StateVec(t, t.disc_state(th + math.pi))],
+            Observable(t, [e, t.unit_effect - e]),
+        )
+        return [Decomposition(w, fam, np.array([p, 1.0 - p]))]
 
     if t.kind == "Simplex":
         fam = DistinguishableFamily(
@@ -470,7 +465,7 @@ def _square_witness() -> tuple:
     return entries, LOG2
 
 
-def _classical_discrepancy(t: Theory, granularity: int) -> float:
+def _classical_discrepancy(t: Theory) -> float:
     """Max entropy spread across decompositions of sample trit states."""
     samples = [
         np.array([0.5, 0.3, 0.2]),
@@ -480,7 +475,7 @@ def _classical_discrepancy(t: Theory, granularity: int) -> float:
     worst = 0.0
     for bary in samples:
         wv = bary @ t.pure_states
-        decs = enumerate_decompositions(t, StateVec(t, wv), granularity)
+        decs = enumerate_decompositions(t, StateVec(t, wv))
         base = {}
         for d in decs:
             for s in d.family.states:
@@ -507,60 +502,30 @@ def _edge_param(t: Theory, w: np.ndarray) -> float:
     raise ValueError("state is not on the polygon boundary")
 
 
-def _disc_discrepancy(t: Theory, granularity: int) -> tuple:
-    wm = StateVec(t, t.maximally_mixed())
-    decs = enumerate_decompositions(t, wm, granularity)
-    vals = [entropy_of_decomposition(d) for d in decs]
-    return max(vals) - min(vals), vals[0]
-
-
-def consistency_check(t: Theory, granularity: int = 720) -> ConsistencyReport:
+def consistency_check(t: Theory) -> ConsistencyReport:
     """Is the mixing-entropy assignment well defined in this theory?
 
     n = 3 and the disc come out consistent; every polygon with
     4 <= n < infinity yields an explicit witness state with two
     decompositions of different entropy.
     """
+    witness = None
     if t.kind == "Disc":
-        disc, s_center = _disc_discrepancy(t, granularity)
-        verdict = "consistent" if disc < 1e-9 else "inconsistent"
-        return ConsistencyReport(
-            kind="Disc",
-            n=None,
-            entries=[("center via diameters", s_center)],
-            discrepancy=disc,
-            verdict=verdict,
-        )
-    if t.kind != "Polygon" or t.n < 3:
+        # every decomposition of the centre is a rotation of this one
+        (d,) = enumerate_decompositions(t, StateVec(t, t.maximally_mixed()))
+        entries, disc = [("center via diameters", entropy_of_decomposition(d))], 0.0
+    elif t.kind != "Polygon" or t.n < 3:
         raise ValueError("consistency check needs a polygon theory or the disc")
-    n = t.n
-    if n == 3:
-        disc = _classical_discrepancy(t, granularity)
-        verdict = "consistent" if disc < 1e-9 else "inconsistent"
-        return ConsistencyReport(
-            kind="Polygon", n=3, entries=[], discrepancy=disc, verdict=verdict
-        )
-    if n == 4:
+    elif t.n == 3:
+        entries, disc = [], _classical_discrepancy(t)
+    elif t.n == 4:
         entries, disc = _square_witness()
-        return ConsistencyReport(
-            kind="Polygon",
-            n=4,
-            entries=entries,
-            discrepancy=disc,
-            verdict="inconsistent",
-            witness="center state of the square",
-        )
-    if n % 2 == 0:
+        witness = "center state of the square"
+    elif t.n % 2 == 0:
         entries, disc = _even_witness(t)
         witness = "intersection of the vertex diameter and the offset chord"
     else:
         entries, disc = _odd_witness(t)
         witness = "midpoint of the edge opposite a vertex"
-    return ConsistencyReport(
-        kind="Polygon",
-        n=n,
-        entries=entries,
-        discrepancy=disc,
-        verdict="inconsistent" if disc > 1e-9 else "consistent",
-        witness=witness,
-    )
+    verdict = "consistent" if disc < 1e-9 else "inconsistent"
+    return ConsistencyReport(t.kind, t.n, entries, disc, verdict, witness)

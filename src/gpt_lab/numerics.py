@@ -84,28 +84,6 @@ class LinearProgram:
     a_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
 
-    def validate(self) -> None:
-        def chk(a, b, name):
-            if a is None:
-                return
-            a = np.asarray(a, dtype=float)
-            if a.ndim != 2 or a.shape[1] != self.n_vars:
-                raise ValueError(f"{name} must be 2-d with {self.n_vars} columns")
-            if b is None or len(np.atleast_1d(b)) != a.shape[0]:
-                raise ValueError(f"{name} rhs length mismatch")
-            if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-                raise ValueError(f"{name} contains non-finite entries")
-
-        chk(self.a_eq, self.b_eq, "a_eq")
-        chk(self.a_ub, self.b_ub, "a_ub")
-        if self.objective is not None:
-            c = np.asarray(self.objective, dtype=float)
-            if c.shape != (self.n_vars,):
-                raise ValueError("objective dimension mismatch")
-            if not np.all(np.isfinite(c)):
-                raise ValueError("objective contains non-finite entries")
-
-
 @dataclass
 class LpResult:
     """``y`` is the Farkas vector of an "infeasible" verdict: the multipliers
@@ -166,16 +144,29 @@ def solve_lp(p: LinearProgram) -> LpResult:
     """Active-set simplex on the slice of the equality rows (see the module
     docstring).  Raises LpNumericalError when a verdict fails its check at
     tolerance ``TOL``."""
-    p.validate()
     n = p.n_vars
 
-    def block(a, b):
+    def block(a, b, name):
         if a is None:
             return np.zeros((0, n)), np.zeros(0)
-        return np.asarray(a, dtype=float), np.asarray(b, dtype=float).reshape(-1)
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[1] != n:
+            raise ValueError(f"{name} must be 2-d with {n} columns")
+        b = None if b is None else np.asarray(b, dtype=float).reshape(-1)
+        if b is None or len(b) != a.shape[0]:
+            raise ValueError(f"{name} rhs length mismatch")
+        if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
+            raise ValueError(f"{name} contains non-finite entries")
+        return a, b
 
-    (a_eq, b_eq), (a_ub, b_ub) = block(p.a_eq, p.b_eq), block(p.a_ub, p.b_ub)
-    c = None if p.objective is None else np.asarray(p.objective, dtype=float)
+    (a_eq, b_eq), (a_ub, b_ub) = block(p.a_eq, p.b_eq, "a_eq"), block(p.a_ub, p.b_ub, "a_ub")
+    c = None
+    if p.objective is not None:
+        c = np.asarray(p.objective, dtype=float)
+        if c.shape != (n,):
+            raise ValueError("objective dimension mismatch")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("objective contains non-finite entries")
     # x = x0 + N z: x0 the least-squares solution of the equality rows and N
     # a basis of their null space, from one SVD
     left, sv, vt = np.linalg.svd(a_eq)

@@ -36,14 +36,15 @@ def overall_width(p, metric: np.ndarray, epsilon: float) -> float:
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must lie in [0, 1]")
     p = np.asarray(p, float)
-    k = len(p)
-    best = math.inf
-    for w in _width_candidates(metric):
-        for a in range(k):
+    if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError("p must be a probability vector")
+    widths = _width_candidates(metric)
+    for w in widths:
+        for a in range(len(p)):
             mass = p[metric[a] <= w / 2 + EPS].sum()
             if mass >= 1.0 - epsilon - 1e-12:
                 return float(w)
-    return best  # unreachable: the full-support ball always has mass 1
+    return float(widths[-1])  # the widest ball holds all of p, 1 to within 1e-9
 
 
 def localization_error(p) -> float:
@@ -60,6 +61,12 @@ def _effect_eigenstates(t: Theory, e: np.ndarray) -> list:
             return [np.array([e[0] / nxy, e[1] / nxy, 1.0])]
         return []
     return [w for w in t.pure_states if t.pair(e, w) >= 1.0 - 1e-9]
+
+
+def _ball_mass(t: Theory, effects, omega: np.ndarray, inside: np.ndarray) -> float:
+    """Sum of e_b(omega) over the outcomes b with ``inside[b]``, in index
+    order."""
+    return sum(t.pair(e, omega) for e, keep in zip(effects, inside) if keep)
 
 
 def error_bar_width(approx: Observable, ideal: Observable, epsilon: float) -> float:
@@ -83,12 +90,7 @@ def error_bar_width(approx: Observable, ideal: Observable, epsilon: float) -> fl
         for a, states in enumerate(eigs):
             inside = d[a] <= w / 2 + EPS
             for omega in states:
-                mass = sum(
-                    t.pair(approx.effects[b], omega)
-                    for b in range(len(approx.effects))
-                    if inside[b]
-                )
-                if mass < 1.0 - epsilon - 1e-12:
+                if _ball_mass(t, approx.effects, omega, inside) < 1.0 - epsilon - 1e-12:
                     ok = False
                     break
             if not ok:
@@ -272,20 +274,12 @@ def theorem_witness_state(
     if not cells:
         raise ValueError("joint observable has no cell with positive mass")
 
-    def ball_mass(ideal, omega, center, d, w):
-        inside = d[center] <= w / 2 + EPS
-        return sum(
-            t.pair(ideal.effects[i], omega)
-            for i in range(len(ideal.effects))
-            if inside[i]
-        )
-
     # error-bar witness: cell maximizing the captured ideal mass
     best_eb, sc_eb = None, -math.inf
     best_l, sc_l = None, -math.inf
     for a, b, omega in cells:
-        s = ball_mass(ideal_f, omega, a, da, w1) + ball_mass(
-            ideal_g, omega, b, db, w2
+        s = _ball_mass(t, ideal_f.effects, omega, da[a] <= w1 / 2 + EPS) + _ball_mass(
+            t, ideal_g.effects, omega, db[b] <= w2 / 2 + EPS
         )
         if s > sc_eb:
             best_eb, sc_eb = (a, b, omega), s

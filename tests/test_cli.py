@@ -150,17 +150,22 @@ def test_bad_config_rejected(tmp_path, capsys, payload, argv, field):
 
 
 BENCH_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "cli_config.json"
+MIXING_SWEEP_DIGEST = "fa7ce571c59af2d84fd20823a2021d9bea1875c6847da4464dbecb39870ac125"
 
 
 @pytest.mark.parametrize(
     "argv, digest",
     [
+        (["gamma-table"],
+         "446e3f810c2367f94bb8ab3effa01f23cac4829bb329b01f0c51358fcc2c7abc"),
+        (["mixing-sweep"], MIXING_SWEEP_DIGEST),
         (["incompat-scan"],
          "140ab45b0d9c510e8bff8fd5db50c773848634d2ada860c47bb88510f0705198"),
         (["mur-properties", "--seed", "0"],
          "5d95de475a556fd12a1dd25bbf547aaf7138cc6cdced5ec1efcaaf2cbf609125"),
     ],
-    ids=["incompat-scan", "mur-properties"],  # stable across re-pins
+    # ids that stay stable across re-pins
+    ids=["gamma-table", "mixing-sweep", "incompat-scan", "mur-properties"],
 )
 def test_bench_cli_config_output_pinned(tmp_path, argv, digest):
     data = run(tmp_path, "out", *argv, "--config", str(BENCH_CONFIG), "--jobs", "1")
@@ -168,3 +173,12 @@ def test_bench_cli_config_output_pinned(tmp_path, argv, digest):
     assert got == digest, (
         f"{argv[0]} output changed ({digest} -> {got}); if the change is "
         "intended, update the pin and record both hashes in CHANGES.md")
+
+
+def test_mixing_sweep_output_does_not_read_granularity(tmp_path):
+    # granularity is still accepted in a config, but one diameter is every
+    # decomposition of the disc centre, so the bytes match the pin at 720
+    cfg = json.loads(BENCH_CONFIG.read_text())
+    cfg["granularity"] = 1
+    data = run(tmp_path, "out", "mixing-sweep", "--config", _cfg(tmp_path, cfg), "--jobs", "1")
+    assert hashlib.sha256(data).hexdigest() == MIXING_SWEEP_DIGEST

@@ -236,8 +236,19 @@ def test_lp_shifted_lower_bounds():
 
 
 def test_lp_validation_errors():
-    with pytest.raises(ValueError):
-        LinearProgram(2, a_eq=np.ones((1, 3)), b_eq=np.ones(1)).validate()
+    cases = [
+        ({"a_eq": np.ones((1, 3)), "b_eq": np.ones(1)}, "a_eq must be 2-d with 2 columns"),
+        ({"a_eq": np.ones(2), "b_eq": np.ones(1)}, "a_eq must be 2-d with 2 columns"),
+        ({"a_eq": np.ones((1, 2))}, "a_eq rhs length mismatch"),
+        ({"a_ub": np.ones((2, 2)), "b_ub": np.ones(3)}, "a_ub rhs length mismatch"),
+        ({"a_ub": np.ones((1, 2)), "b_ub": [np.inf]}, "a_ub contains non-finite entries"),
+        ({"a_eq": np.full((1, 2), np.nan), "b_eq": [1.0]}, "a_eq contains non-finite entries"),
+        ({"objective": np.ones(3)}, "objective dimension mismatch"),
+        ({"objective": [1.0, np.nan]}, "objective contains non-finite entries"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            solve_lp(LinearProgram(2, **kwargs))
 
 
 @settings(max_examples=60, deadline=None)

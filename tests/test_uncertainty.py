@@ -54,6 +54,11 @@ def test_overall_width_cases():
     assert overall_width([1.0, 0.0], d, 0.1) == 0.0
     assert overall_width([0.5, 0.5], d, 0.1) == 2.0
     assert overall_width([0.5, 0.5], d, 0.5) == 0.0
+    # a sum short of 1 by less than 1e-9 still fits the widest ball
+    assert overall_width([0.5, 0.5 - 5e-10], d, 0.0) == 2.0
+    for bad in ([0.3, 0.3], [1.1, -0.1]):
+        with pytest.raises(ValueError, match="probability vector"):
+            overall_width(bad, 1 - np.eye(2), 0.1)
 
 
 def test_localization_error():
